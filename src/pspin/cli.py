@@ -370,8 +370,14 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
             "energy_per_spin": e,
             "converged": ok,
             "is_best": i == best,
+            "iterations": iters,
+            "stop_reason": reason,
+            "gradient_norm": gnorm,
         }
-        for i, (e, ok) in enumerate(zip(result.restart_energies, result.restart_converged))
+        for i, (e, ok, iters, reason, gnorm) in enumerate(zip(
+            result.restart_energies, result.restart_converged, result.restart_iterations,
+            result.restart_stop_reasons, result.restart_gradient_norms,
+        ))
     ]
     extra = {"best_energy_per_spin": result.energy_per_spin, "all_converged": result.converged}
     return rows, extra
@@ -440,7 +446,9 @@ def _run_thermo(config: RunConfig) -> list[dict]:
 def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
     J = _get_disorder(config)
     cp = solve_critical(config.p)
-    beta = config.options.get("beta") or 2.0 * cp.beta_c
+    beta = config.options.get("beta")
+    if beta is None:
+        beta = 2.0 * cp.beta_c
     if beta <= 0:
         raise ValueError(f"probe beta must be positive, got {beta}")
     ladder = default_ladder(beta, config.options["rungs"], beta_c=cp.beta_c)

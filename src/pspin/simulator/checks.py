@@ -14,6 +14,8 @@ import numpy as np
 
 from .disorder import gradient, hamiltonian, overlap, random_configuration, sample_disorder
 
+_BLOCK_ENTRIES = 2**22  # couplings drawn per block, unless one draw alone is larger
+
 
 @dataclass(frozen=True)
 class CovarianceRow:
@@ -38,7 +40,9 @@ def covariance_check(
     One stream of disorder draws is shared by all pairs: each block of
     couplings is contracted against every configuration at once, which keeps
     the per-pair estimates exact while doing a single pass over the
-    randomness.
+    randomness.  A block holds at most ``block`` draws and at most 2^22
+    couplings (one draw if n^p is larger); its size changes the estimates
+    only by summation rounding.
     """
     if draws < 1000:
         raise ValueError(f"draws must be >= 1000, got {draws}")
@@ -63,8 +67,9 @@ def covariance_check(
     sums = np.zeros(m)
     sq_sums = np.zeros(m)
     done = 0
+    rows = max(1, min(block, _BLOCK_ENTRIES // count))  # bounds the memory of a block
     while done < draws:
-        b = min(block, draws - done)
+        b = min(rows, draws - done)
         z = gen.standard_normal((b, count))
         h = norm * (z @ u)  # (b, 2m)
         prod = h[:, 0::2] * h[:, 1::2]

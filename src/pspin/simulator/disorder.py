@@ -10,14 +10,14 @@ runs over all index tuples.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 DEFAULT_ENTRY_BUDGET = 2**31
-_SLOT_CACHE_MAX_ENTRIES = 2**22  # above this, fall back to strided contractions
+_BLOCK_ENTRIES = 2**20  # Khatri-Rao entries per block of gradient rows
 
 MAGIC = b"PSPN"
 FORMAT_VERSION = 1
@@ -43,21 +43,6 @@ class DisorderTensor:
     def norm_factor(self) -> float:
         return float(self.n) ** (-(self.p - 1) / 2.0)
 
-    @cached_property
-    def _slot_matrices(self) -> tuple[np.ndarray, ...] | None:
-        """Contiguous (n, n^(p-1)) copies with slot m moved first, or None.
-
-        Turns per-slot contractions into plain matrix-vector products; only
-        built for tensors small enough that p extra copies are cheap.
-        """
-        if self.entries.shape[0] > _SLOT_CACHE_MAX_ENTRIES:
-            return None
-        t = self.tensor()
-        return tuple(
-            np.ascontiguousarray(np.moveaxis(t, m, 0).reshape(self.n, -1))
-            for m in range(self.p)
-        )
-
 
 def sample_disorder(
     n: int, p: int, seed: int, max_entries: int = DEFAULT_ENTRY_BUDGET
@@ -80,8 +65,7 @@ def sample_disorder(
 
 def random_configuration(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform point on the sphere of squared norm n."""
-    x = rng.standard_normal(n)
-    return project_to_sphere(x, n)
+    return project_to_sphere(rng.standard_normal(n), n)
 
 
 def project_to_sphere(x: np.ndarray, n: int) -> np.ndarray:
@@ -96,30 +80,29 @@ def overlap(s1: np.ndarray, s2: np.ndarray) -> float:
     return float(s1 @ s2) / s1.shape[0]
 
 
-def _check_dims(J: DisorderTensor, sigma: np.ndarray) -> None:
-    if sigma.shape != (J.n,):
+def _rows(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
+    if sigma.ndim not in (1, 2) or sigma.shape[-1] != J.n:
         raise ValueError(f"configuration shape {sigma.shape} does not match n={J.n}")
+    return sigma.reshape(-1, J.n)
 
 
-def _outer_power(sigma: np.ndarray, order: int) -> np.ndarray:
-    """Flattened order-fold outer product of sigma with itself."""
-    v = sigma
-    for _ in range(order - 1):
-        v = np.outer(v, sigma).ravel()
-    return v
+def _kr_powers(X: np.ndarray, order: int) -> list[np.ndarray]:
+    """Row-wise Khatri-Rao powers KR_0(X), ..., KR_order(X); KR_k is (r, n^k)."""
+    powers = [np.ones((X.shape[0], 1))]
+    for _ in range(order):
+        powers.append((powers[-1][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1))
+    return powers
 
 
-def hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float:
-    """Energy n^(-(p-1)/2) sum_t J_t sigma_{t_1} ... sigma_{t_p}."""
-    _check_dims(J, sigma)
-    slots = J._slot_matrices
-    if slots is not None:
-        tail = _outer_power(sigma, J.p - 1)
-        return J.norm_factor * float(sigma @ (slots[0] @ tail))
-    t = J.tensor()
-    for _ in range(J.p):
-        t = t @ sigma
-    return J.norm_factor * float(t)
+def hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float | np.ndarray:
+    """Energy n^(-(p-1)/2) sum_t J_t sigma_{t_1} ... sigma_{t_p}: a float for (n,), (r,) for (r, n).
+
+    KR_m(X), m = p - p // 2, takes the first m slots in one matmul, the rest go row by row.
+    """
+    n, p, m = J.n, J.p, J.p - J.p // 2
+    kr = _kr_powers(_rows(J, sigma), m)
+    h = J.norm_factor * ((kr[m] @ J.entries.reshape(n**m, -1)) * kr[p - m]).sum(axis=1)
+    return float(h[0]) if sigma.ndim == 1 else h
 
 
 def hamiltonian_batch(J: DisorderTensor, configs: np.ndarray) -> np.ndarray:
@@ -140,51 +123,23 @@ def hamiltonian_batch(J: DisorderTensor, configs: np.ndarray) -> np.ndarray:
 
 
 def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the energy, one contraction per tensor slot.
+    """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n).
 
-    Every slot contracts the other p-1 indices against the same sigma, so a
-    single flattened outer power serves all slots.  g . sigma = p H.
+    For slot m, KR_m(X) times the (n^m, n^(p-m)) view of the couplings takes
+    slots 0..m-1 and the slots after m go row by row; slots 0 and p-1 go first
+    so that KR_(p-1)(X) is freed early.  Each slot reads the tensor once per
+    block of rows and copies none of it.  g . sigma = p H.
     """
-    _check_dims(J, sigma)
-    slots = J._slot_matrices
-    if slots is not None:
-        tail = _outer_power(sigma, J.p - 1)
-        g = slots[0] @ tail
-        for m in range(1, J.p):
-            g += slots[m] @ tail
-        return J.norm_factor * g
-    t = J.tensor()
-    g = np.zeros(J.n)
-    for slot in range(J.p):
-        partial = np.moveaxis(t, slot, 0)
-        for _ in range(J.p - 1):
-            partial = partial @ sigma
-        g += partial
-    return J.norm_factor * g
-
-
-def hamiltonian_streamed(
-    n: int, p: int, seed: int, sigma: np.ndarray, block_entries: int = 2**22
-) -> float:
-    """Energy without materializing the tensor, for n^p beyond the budget.
-
-    Regenerates the same Philox stream as ``sample_disorder`` block by block
-    and contracts each block against the matching slice of the rank-p outer
-    power of sigma.  The outer-power slice is built per leading index, so only
-    n^(p-1) floats are live at a time.
-    """
-    if sigma.shape != (n,):
-        raise ValueError(f"configuration shape {sigma.shape} does not match n={n}")
-    tail = sigma.copy()
-    for _ in range(p - 2):
-        tail = np.outer(tail, sigma).ravel()  # sigma^(x(p-1)), length n^(p-1)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    stride = tail.shape[0]
-    total = 0.0
-    for i in range(n):
-        block = gen.standard_normal(stride)
-        total += sigma[i] * float(block @ tail)
-    return float(n) ** (-(p - 1) / 2.0) * total
+    n, p, T, X = J.n, J.p, J.entries, _rows(J, sigma)
+    rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
+    blocks = []
+    for kr in (_kr_powers(X[lo:lo + rows], p - 1) for lo in range(0, len(X), rows)):
+        g = (T.reshape(n, -1) @ kr[p - 1].T).T + kr.pop() @ T.reshape(-1, n)
+        for m in range(1, p - 1):
+            head = (kr[m] @ T.reshape(n**m, -1)).reshape(len(g), n, -1)
+            g += (head @ kr[p - 1 - m][:, :, None])[:, :, 0]
+        blocks.append(g)
+    return J.norm_factor * np.concatenate(blocks).reshape(sigma.shape)
 
 
 def save_disorder(J: DisorderTensor, path: str) -> None:
@@ -205,11 +160,8 @@ def load_disorder(path: str) -> DisorderTensor:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        raw = fh.read()
-    count = n**p
-    entries = np.frombuffer(raw, dtype="<f8", count=-1)
-    if entries.shape[0] != count:
-        raise ValueError(
-            f"{path}: expected {count} entries for n={n}, p={p}, found {entries.shape[0]}"
-        )
+        found = (os.fstat(fh.fileno()).st_size - _HEADER.size) / 8
+        if found != n**p:  # checked before reading, so a bad header allocates nothing
+            raise ValueError(f"{path}: expected {n**p} entries for n={n}, p={p}, found {found:g}")
+        entries = np.frombuffer(fh.read(), dtype="<f8")
     return DisorderTensor(n=n, p=p, entries=entries.astype(np.float64), seed=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pspin.simulator import covariance_check, gradient_fd_check
+from pspin.simulator import checks, covariance_check, gradient_fd_check
 
 
 def exact_pairs(n):
@@ -40,6 +40,16 @@ class TestCovarianceCheck:
         b = covariance_check(8, 3, pairs, draws=3000, seed=5, block=3000)
         for ra, rb in zip(a, b):
             assert ra.estimate == pytest.approx(rb.estimate, rel=1e-12)
+
+    def test_capped_blocks_match_one_block(self, monkeypatch):
+        # n^p = 4096: 2000 draws in one block would be 8.2M couplings
+        pairs = exact_pairs(16)
+        capped = covariance_check(16, 3, pairs, draws=2000, seed=5)
+        monkeypatch.setattr(checks, "_BLOCK_ENTRIES", 2000 * 16**3)
+        whole = covariance_check(16, 3, pairs, draws=2000, seed=5, block=2000)
+        for rc, rw in zip(capped, whole):
+            assert rc.estimate == pytest.approx(rw.estimate, rel=1e-12)
+            assert rc.stderr == pytest.approx(rw.stderr, rel=1e-12)
 
     def test_rejects_tiny_draw_count(self):
         with pytest.raises(ValueError):

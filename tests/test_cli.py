@@ -147,6 +147,8 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 3
         assert sum(r["is_best"] for r in doc["rows"]) == 1
+        for r in doc["rows"]:
+            assert r["stop_reason"] == "tol" and r["converged"] and r["iterations"] >= 1
         assert doc["meta"]["best_energy_per_spin"] == max(
             r["energy_per_spin"] for r in doc["rows"]
         )
@@ -209,6 +211,12 @@ class TestExitCodes:
         proc = run_cli("critical", "--p", "3", "-o", str(missing))
         assert proc.returncode == 1
         assert not missing.exists()
+
+    def test_probe_rejects_zero_beta(self):
+        proc = run_cli("probe", "--p", "3", "--n", "4", "--beta", "0", "--k", "2",
+                       "--rungs", "2", "--sweeps", "2", "--burn-in", "0")
+        assert proc.returncode != 0
+        assert "probe beta must be positive" in proc.stderr
 
     def test_reproducible_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,6 +1,7 @@
 """Disorder sampling, energy/gradient kernels, binary persistence."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from pspin.simulator import (
     gradient,
     hamiltonian,
     hamiltonian_batch,
-    hamiltonian_streamed,
     load_disorder,
     overlap,
     project_to_sphere,
@@ -99,24 +99,28 @@ class TestHamiltonian:
         for i in range(5):
             assert hb[i] == pytest.approx(hamiltonian(J, configs[i]), rel=1e-12)
 
-    def test_both_contraction_paths_agree(self):
-        # small tensors use cached slot matrices; force the strided path too
-        J = sample_disorder(6, 4, seed=3)
+    def test_kernels_match_einsum_oracle(self):
+        # every kernel against the defining sum over index tuples, p = 2, 3, 4
         rng = np.random.default_rng(5)
-        s = random_configuration(6, rng)
-        h_fast = hamiltonian(J, s)
-        g_fast = gradient(J, s)
-        object.__setattr__(J, "_slot_matrices", None)
-        assert hamiltonian(J, s) == pytest.approx(h_fast, rel=1e-12)
-        np.testing.assert_allclose(gradient(J, s), g_fast, rtol=1e-12)
+        for p, n in ((2, 9), (3, 7), (4, 6)):
+            J = sample_disorder(n, p, seed=3 + p)
+            X = np.stack([random_configuration(n, rng) for _ in range(4)])
+            axes = "abcd"[:p]
 
-    def test_streamed_matches_in_memory(self):
-        J = sample_disorder(10, 3, seed=77)
-        rng = np.random.default_rng(6)
-        s = random_configuration(10, rng)
-        assert hamiltonian_streamed(10, 3, 77, s) == pytest.approx(
-            hamiltonian(J, s), rel=1e-12
-        )
+            def contract(free=""):
+                # row r of X on every tensor axis except ``free``
+                others = [c for c in axes if c != free]
+                subscripts = ",".join([axes] + ["r" + c for c in others]) + "->r" + free
+                return J.norm_factor * np.einsum(subscripts, J.tensor(), *[X] * len(others))
+
+            energy = contract()
+            grad = sum(contract(c) for c in axes)
+            np.testing.assert_allclose(hamiltonian_batch(J, X), energy, rtol=1e-12)
+            np.testing.assert_allclose(hamiltonian(J, X), energy, rtol=1e-12)
+            np.testing.assert_allclose(gradient(J, X), grad, rtol=1e-12)
+            for i in range(len(X)):
+                assert hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
+                np.testing.assert_allclose(gradient(J, X[i]), grad[i], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         J = sample_disorder(6, 3, seed=0)
@@ -124,6 +128,8 @@ class TestHamiltonian:
             hamiltonian(J, np.ones(5))
         with pytest.raises(ValueError):
             gradient(J, np.ones(7))
+        with pytest.raises(ValueError):
+            gradient(J, np.ones((2, 7)))
 
 
 class TestGradient:
@@ -182,6 +188,19 @@ class TestPersistence:
         path.write_bytes(struct.pack("<4sHIH4x", b"PSPN", 1, 4, 2) + b"\x00" * 24)
         with pytest.raises(ValueError, match="expected 16 entries"):
             load_disorder(str(path))
+
+    def test_size_checked_before_reading(self, tmp_path):
+        # a header claiming 65535^16 entries must fail on the file size alone
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<4sHIH4x", b"PSPN", 1, 65535, 16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=65535, p=16"):
+                load_disorder(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCovarianceStructure:

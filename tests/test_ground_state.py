@@ -14,6 +14,8 @@ class TestTrivialCases:
         res = ground_state_search(J, restarts=2, max_iters=50)
         assert res.energy_per_spin == 0.0
         assert res.converged
+        assert res.restart_stop_reasons == ("tol", "tol")
+        assert res.restart_iterations == (0, 0)
 
     def test_stays_on_sphere(self):
         J = sample_disorder(12, 3, seed=4)
@@ -30,6 +32,20 @@ class TestTrivialCases:
         res = ground_state_search(J, restarts=5, max_iters=500, seed=2)
         assert len(res.restart_energies) == 5
         assert res.energy_per_spin == max(res.restart_energies)
+        for field in ("restart_converged", "restart_iterations", "restart_stop_reasons",
+                      "restart_gradient_norms"):
+            assert len(getattr(res, field)) == 5
+        for ok, reason, gnorm in zip(res.restart_converged, res.restart_stop_reasons,
+                                     res.restart_gradient_norms):
+            assert ok == (reason == "tol") and (gnorm <= 1e-7) == ok
+
+    def test_iteration_cap_is_not_convergence(self):
+        J = sample_disorder(10, 3, seed=8)
+        res = ground_state_search(J, restarts=3, max_iters=1, seed=2)
+        assert res.restart_stop_reasons == ("max_iters",) * 3
+        assert res.restart_iterations == (1, 1, 1)
+        assert not res.converged and not any(res.restart_converged)
+        assert min(res.restart_gradient_norms) > 1e-7
 
     def test_rejects_no_restarts(self):
         J = sample_disorder(6, 2, seed=0)
