@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_write
 from .critical import p2_betac_residual, residuals_prop, solve_critical
 from .free_energy import free_energy, sweep as fe_sweep
 from .simulator import (
+    DisorderTensor,
     TemperingEnsemble,
     covariance_check,
     default_ladder,
@@ -250,8 +252,9 @@ def _to_plain(value):
 def emit(records: list[dict], meta: dict, fmt: str, path: str | None) -> None:
     """Write records as CSV (comment + header + rows) or JSON ({meta, rows}).
 
-    Floats are serialized with shortest round-trip representation; a partially
-    written file is removed if the write fails.
+    Floats are serialized with shortest round-trip representation.  A file is
+    written to a temporary name and renamed over ``path``, so a failed write
+    leaves any earlier file at ``path`` as it was.
     """
     if not records:
         raise ValueError("nothing to emit")
@@ -273,11 +276,9 @@ def emit(records: list[dict], meta: dict, fmt: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(text)
     except OSError as exc:
-        if os.path.exists(path):
-            os.remove(path)
         raise RuntimeError(f"failed to write {path}: {exc}") from exc
 
 
@@ -295,7 +296,8 @@ def _meta(config: RunConfig) -> dict:
     }
 
 
-def _get_disorder(config: RunConfig):
+def _get_disorder(config: RunConfig) -> tuple[DisorderTensor, dict]:
+    """The coupling tensor and where it came from, for ``meta["disorder"]``."""
     path = config.options.get("disorder_file")
     if path and os.path.exists(path):
         J = load_disorder(path)
@@ -303,11 +305,11 @@ def _get_disorder(config: RunConfig):
             raise ValueError(
                 f"{path} holds n={J.n}, p={J.p}; requested n={config.n}, p={config.p}"
             )
-        return J
+        return J, {"source": "file", "path": path, "sha256": J.sha256}
     J = sample_disorder(config.n, config.p, seed=config.seed)
     if path:
         save_disorder(J, path)
-    return J
+    return J, {"source": "seed", "seed": config.seed}
 
 
 def _run_critical(config: RunConfig) -> list[dict]:
@@ -355,7 +357,7 @@ def _run_sweep(config: RunConfig) -> list[dict]:
 
 
 def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
-    J = _get_disorder(config)
+    J, source = _get_disorder(config)
     result = ground_state_search(
         J,
         restarts=config.options["restarts"],
@@ -379,7 +381,11 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
             result.restart_stop_reasons, result.restart_gradient_norms,
         ))
     ]
-    extra = {"best_energy_per_spin": result.energy_per_spin, "all_converged": result.converged}
+    extra = {
+        "disorder": source,
+        "best_energy_per_spin": result.energy_per_spin,
+        "all_converged": result.converged,
+    }
     return rows, extra
 
 
@@ -418,8 +424,8 @@ def _run_mc_verify(config: RunConfig) -> list[dict]:
     return rows
 
 
-def _run_thermo(config: RunConfig) -> list[dict]:
-    J = _get_disorder(config)
+def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
+    J, source = _get_disorder(config)
     beta_c = solve_critical(config.p).beta_c
     ladder = default_ladder(config.options["beta_max"], config.options["rungs"], beta_c=beta_c)
     ens = TemperingEnsemble(J, ladder, seed=np.random.SeedSequence((config.seed, 201)))
@@ -440,11 +446,11 @@ def _run_thermo(config: RunConfig) -> list[dict]:
                 "equilibrated": pt.equilibrated,
             }
         )
-    return rows
+    return rows, {"disorder": source}
 
 
 def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
-    J = _get_disorder(config)
+    J, source = _get_disorder(config)
     cp = solve_critical(config.p)
     beta = config.options.get("beta")
     if beta is None:
@@ -467,6 +473,7 @@ def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
         for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
     ]
     extra = {
+        "disorder": source,
         "modal_overlap": hist.modal_overlap(),
         "q_beta_theory": sol.q_beta,
         "mass_near_q_beta": hist.mass_near(sol.q_beta, 0.15),
@@ -491,7 +498,8 @@ def run(config: RunConfig) -> int:
         elif config.command == "mc-verify":
             records = _run_mc_verify(config)
         elif config.command == "thermo":
-            records = _run_thermo(config)
+            records, extra = _run_thermo(config)
+            meta.update(extra)
         elif config.command == "probe":
             records, extra = _run_probe(config)
             meta.update(extra)

@@ -7,7 +7,6 @@ from .disorder import (
     DisorderTensor,
     gradient,
     hamiltonian,
-    hamiltonian_batch,
     load_disorder,
     overlap,
     project_to_sphere,
@@ -18,7 +17,6 @@ from .disorder import (
 from .ground_state import GroundStateResult, ground_state_search
 from .mcmc import (
     OverlapHistogram,
-    RungReport,
     TemperingEnsemble,
     ThermoPoint,
     batch_means_stderr,
@@ -37,7 +35,6 @@ __all__ = [
     "GradientCheckRow",
     "GroundStateResult",
     "OverlapHistogram",
-    "RungReport",
     "TemperingEnsemble",
     "ThermoPoint",
     "batch_means_stderr",
@@ -47,7 +44,6 @@ __all__ = [
     "gradient_fd_check",
     "ground_state_search",
     "hamiltonian",
-    "hamiltonian_batch",
     "load_disorder",
     "mcmc_step",
     "overlap",

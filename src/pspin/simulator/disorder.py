@@ -10,14 +10,17 @@ runs over all index tuples.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..atomic import atomic_write
+
 DEFAULT_ENTRY_BUDGET = 2**31
-_BLOCK_ENTRIES = 2**20  # Khatri-Rao entries per block of gradient rows
+_BLOCK_ENTRIES = 2**20  # intermediate entries per block of energy or gradient rows
 
 MAGIC = b"PSPN"
 FORMAT_VERSION = 1
@@ -34,6 +37,7 @@ class DisorderTensor:
     p: int
     entries: np.ndarray  # flat, length n**p, row-major over (i_1, ..., i_p)
     seed: int | None     # None when loaded from a file
+    sha256: str | None = field(default=None, compare=False)  # of the file's bytes, if loaded
 
     def tensor(self) -> np.ndarray:
         """Multi-index view of the flat entries."""
@@ -97,29 +101,20 @@ def _kr_powers(X: np.ndarray, order: int) -> list[np.ndarray]:
 def hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float | np.ndarray:
     """Energy n^(-(p-1)/2) sum_t J_t sigma_{t_1} ... sigma_{t_p}: a float for (n,), (r,) for (r, n).
 
-    KR_m(X), m = p - p // 2, takes the first m slots in one matmul, the rest go row by row.
+    One matmul takes slot 1 for a block of rows, then p - 1 batched mat-vecs
+    take the last remaining slot row by row; the tensor is never copied.
     """
-    n, p, m = J.n, J.p, J.p - J.p // 2
-    kr = _kr_powers(_rows(J, sigma), m)
-    h = J.norm_factor * ((kr[m] @ J.entries.reshape(n**m, -1)) * kr[p - m]).sum(axis=1)
+    n, p, X = J.n, J.p, _rows(J, sigma)
+    rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
+    h = np.empty(len(X))
+    for lo in range(0, len(X), rows):
+        x = X[lo:lo + rows]
+        t = x @ J.entries.reshape(n, -1)
+        for _ in range(p - 1):
+            t = t.reshape(len(x), -1, n) @ x[:, :, None]
+        h[lo:lo + rows] = t.ravel()
+    h *= J.norm_factor
     return float(h[0]) if sigma.ndim == 1 else h
-
-
-def hamiltonian_batch(J: DisorderTensor, configs: np.ndarray) -> np.ndarray:
-    """Energies of a stack of configurations, shape (r, n) -> (r,).
-
-    Contracts one tensor axis at a time against all rows at once; the first
-    contraction is a single matmul over the full tensor, which dominates the
-    cost and is far cheaper than r separate contractions.
-    """
-    configs = np.atleast_2d(configs)
-    if configs.shape[1] != J.n:
-        raise ValueError(f"configuration shape {configs.shape} does not match n={J.n}")
-    n, p = J.n, J.p
-    t = J.entries.reshape(n ** (p - 1), n) @ configs.T  # (n^(p-1), r)
-    for m in range(p - 1, 0, -1):
-        t = np.einsum("anr,rn->ar", t.reshape(n ** (m - 1), n, -1), configs)
-    return J.norm_factor * t.ravel()
 
 
 def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
@@ -143,8 +138,8 @@ def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
 
 
 def save_disorder(J: DisorderTensor, path: str) -> None:
-    """Write the binary tensor file: 16-byte header then little-endian f64."""
-    with open(path, "wb") as fh:
+    """Write the binary tensor file, 16-byte header then little-endian f64, atomically."""
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, J.n, J.p))
         fh.write(J.entries.astype("<f8", copy=False).tobytes())
 
@@ -163,5 +158,7 @@ def load_disorder(path: str) -> DisorderTensor:
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) / 8
         if found != n**p:  # checked before reading, so a bad header allocates nothing
             raise ValueError(f"{path}: expected {n**p} entries for n={n}, p={p}, found {found:g}")
-        entries = np.frombuffer(fh.read(), dtype="<f8")
-    return DisorderTensor(n=n, p=p, entries=entries.astype(np.float64), seed=None)
+        body = fh.read()
+    entries = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    digest = hashlib.sha256(header + body).hexdigest()
+    return DisorderTensor(n=n, p=p, entries=entries, seed=None, sha256=digest)

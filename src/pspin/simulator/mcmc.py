@@ -6,10 +6,17 @@ Gaussian of scale delta and renormalizes; that kernel is symmetric, so the
 acceptance ratio is exp(beta (H' - H)).  A ladder of rungs at increasing beta
 alternates within-rung sweeps with adjacent-rung configuration swaps.
 
+An ensemble is one ladder, or k independent replica ladders on one disorder
+realization stacked along a leading axis.  Each Metropolis step proposes on
+every replica and rung at once and evaluates all candidates in one energy
+call; swaps are drawn and applied as arrays too.
+
 Proposal scales adapt toward a 30-50% acceptance window during burn-in and
-must be frozen before measurement so the kernels stay stationary.  All
-randomness is drawn from per-rung streams spawned from one seed; trajectories
-are reproducible bit for bit.
+must be frozen before measurement so the kernels stay stationary.  Each
+replica draws all its randomness from one generator of its own seed, in
+blocks of a whole ladder: starting points, proposal noise, accept uniforms
+and swap uniforms.  A replica therefore follows the draws of a lone ladder
+with that seed, and trajectories are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -18,34 +25,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import DisorderTensor, hamiltonian_batch, random_configuration
+from .disorder import DisorderTensor, hamiltonian
 
 ADAPT_WINDOW = 50
 ADAPT_LOW, ADAPT_HIGH = 0.30, 0.50
 UNEQUILIBRATED_ACCEPTANCE = 0.01
 
 
-@dataclass
-class RungReport:
-    """Summary of one rung after a run."""
-
-    beta: float
-    mean_energy: float          # mean of recorded H/n, nan if nothing recorded
-    stderr_energy: float        # batch-means standard error of the above
-    acceptance: float
-    swap_acceptance: float      # swaps with the rung above; nan for the top rung
-    proposal_scale: float
-    equilibrated: bool
-
-
 class TemperingEnsemble:
-    """A ladder of Metropolis chains sharing one disorder realization."""
+    """Ladders of Metropolis chains sharing one disorder realization.
+
+    ``seed`` is one seed for a single ladder, whose configs are (rungs, n)
+    and whose energies, deltas and counters are (rungs,); or a list of k
+    seeds for k replica ladders, which gives every array a leading axis of
+    length k.
+    """
 
     def __init__(
         self,
         disorder: DisorderTensor,
         betas,
-        seed: int | np.random.SeedSequence,
+        seed: int | np.random.SeedSequence | list,
         proposal_scale: float = 1.0,
         steps_per_sweep: int | None = None,
     ):
@@ -60,32 +60,37 @@ class TemperingEnsemble:
         self.disorder = disorder
         self.betas = betas
         self.seed = seed
-        n_rungs = betas.size
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = root.spawn(n_rungs + 1)
-        self.rngs = [np.random.default_rng(s) for s in streams[:n_rungs]]
-        self.swap_rng = np.random.default_rng(streams[n_rungs])
+        seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        self.rngs = [np.random.default_rng(s) for s in seeds]  # one per replica
+        self._replica_shape = (len(seeds),) if isinstance(seed, (list, tuple)) else ()
+        n, shape = disorder.n, self._replica_shape + betas.shape
 
-        self.configs = np.stack(
-            [random_configuration(disorder.n, rng) for rng in self.rngs]
-        )
-        self.energies = hamiltonian_batch(disorder, self.configs)
-        self.deltas = np.full(n_rungs, float(proposal_scale))
-        self.steps_per_sweep = steps_per_sweep if steps_per_sweep is not None else disorder.n
+        configs = self._draw("standard_normal", betas.size, n)
+        self.configs = configs * (np.sqrt(n) / np.linalg.norm(configs, axis=-1, keepdims=True))
+        self.energies = hamiltonian(disorder, self.configs.reshape(-1, n)).reshape(shape)
+        self.deltas = np.full(shape, float(proposal_scale))
+        self.steps_per_sweep = steps_per_sweep if steps_per_sweep is not None else n
         self.adapting = True
 
-        self._steps = np.zeros(n_rungs, dtype=np.int64)
-        self._accepts = np.zeros(n_rungs, dtype=np.int64)
-        self._window_steps = np.zeros(n_rungs, dtype=np.int64)
-        self._window_accepts = np.zeros(n_rungs, dtype=np.int64)
-        self._swap_attempts = np.zeros(max(n_rungs - 1, 1), dtype=np.int64)
-        self._swap_accepts = np.zeros(max(n_rungs - 1, 1), dtype=np.int64)
+        self._steps = np.zeros(shape, dtype=np.int64)
+        self._accepts = np.zeros(shape, dtype=np.int64)
+        self._window_steps = np.zeros(shape, dtype=np.int64)
+        self._window_accepts = np.zeros(shape, dtype=np.int64)
+        pairs = self._replica_shape + (max(betas.size - 1, 1),)
+        self._swap_attempts = np.zeros(pairs, dtype=np.int64)
+        self._swap_accepts = np.zeros_like(self._swap_attempts)
         self._sweep_index = 0
-        self.history: list[list[float]] = [[] for _ in range(n_rungs)]
+        self._records: list[np.ndarray] = []  # H/n of every chain after each recorded sweep
 
     @property
     def n_rungs(self) -> int:
         return self.betas.size
+
+    @property
+    def history(self) -> list:
+        """Recorded H/n as nested lists, (rungs, sweeps) or (k, rungs, sweeps)."""
+        records = np.reshape(self._records, (-1,) + self.energies.shape)
+        return np.moveaxis(records, 0, -1).tolist()
 
     def freeze(self) -> None:
         """Stop proposal-scale adaptation (call before measuring)."""
@@ -103,63 +108,70 @@ class TemperingEnsemble:
                 np.nan,
             )
 
-    def _bookkeep(self, accepted: np.ndarray) -> None:
-        self._steps += 1
+    def _draw(self, method: str, *size: int) -> np.ndarray:
+        """One ``method`` call of ``size`` per replica generator, under the replica axis."""
+        draws = np.stack([getattr(rng, method)(size) for rng in self.rngs])
+        return draws.reshape(self._replica_shape + size)
+
+    def _metropolis(self, rungs) -> np.ndarray:
+        """One proposal on every replica and rung; only where ``rungs`` holds may it move.
+
+        Returns the accept flags.  Noise and uniforms are drawn for every rung
+        whatever the mask, so the streams advance the same way.
+        """
+        n = self.disorder.n
+        noise = self._draw("standard_normal", self.n_rungs, n)
+        cand = self.configs + self.deltas[..., None] * noise
+        cand *= (np.sqrt(n) / np.linalg.norm(cand, axis=-1))[..., None]
+        h_cand = hamiltonian(self.disorder, cand.reshape(-1, n)).reshape(self.energies.shape)
+        logu = np.log(self._draw("random", self.n_rungs))
+        accepted = rungs & (logu < self.betas * (h_cand - self.energies))
+        np.copyto(self.configs, cand, where=accepted[..., None])
+        np.copyto(self.energies, h_cand, where=accepted)
+
+        self._steps += rungs
         self._accepts += accepted
+        return accepted
+
+    def _adapt(self, accepted: np.ndarray) -> None:
+        """Count a full step's accepts in the window; rescale the chains whose window is full."""
         self._window_steps += 1
         self._window_accepts += accepted
-        if self.adapting and self._window_steps[0] >= ADAPT_WINDOW:
-            rates = self._window_accepts / self._window_steps
-            self.deltas[rates < ADAPT_LOW] *= 0.8
-            self.deltas[rates > ADAPT_HIGH] *= 1.25
+        full = self._window_steps >= ADAPT_WINDOW
+        if self.adapting and full.any():
+            rates = self._window_accepts / np.maximum(self._window_steps, 1)
+            self.deltas[full & (rates < ADAPT_LOW)] *= 0.8
+            self.deltas[full & (rates > ADAPT_HIGH)] *= 1.25
             np.clip(self.deltas, 1e-8, 1e2, out=self.deltas)
-            self._window_steps[:] = 0
-            self._window_accepts[:] = 0
-
-    def _propose_all(self) -> None:
-        """One Metropolis proposal on every rung, drawn from per-rung streams."""
-        n = self.disorder.n
-        moves = np.stack([rng.standard_normal(n) for rng in self.rngs])
-        cand = self.configs + self.deltas[:, None] * moves
-        cand *= (np.sqrt(n) / np.linalg.norm(cand, axis=1))[:, None]
-        h_cand = hamiltonian_batch(self.disorder, cand)
-        logu = np.log(np.array([rng.random() for rng in self.rngs]))
-        accepted = logu < self.betas * (h_cand - self.energies)
-        self.configs[accepted] = cand[accepted]
-        self.energies[accepted] = h_cand[accepted]
-        self._bookkeep(accepted)
+            self._window_steps[full] = 0
+            self._window_accepts[full] = 0
 
     def _swap_phase(self, parity: int) -> None:
-        for i in range(parity, self.n_rungs - 1, 2):
-            j = i + 1
-            self._swap_attempts[i] += 1
-            logu = np.log(self.swap_rng.random())
-            if logu < (self.betas[i] - self.betas[j]) * (self.energies[j] - self.energies[i]):
-                self._swap_accepts[i] += 1
-                self.configs[[i, j]] = self.configs[[j, i]]
-                self.energies[[i, j]] = self.energies[[j, i]]
+        """Swap proposals on the adjacent pairs (i, i + 1), i = parity, parity + 2, ..."""
+        i = np.arange(parity, self.n_rungs - 1, 2)
+        e = self.energies
+        logu = np.log(self._draw("random", i.size))
+        accepted = logu < (self.betas[i] - self.betas[i + 1]) * (e[..., i + 1] - e[..., i])
+        self._swap_attempts[..., i] += 1
+        self._swap_accepts[..., i] += accepted
+        perm = np.broadcast_to(np.arange(self.n_rungs), e.shape).copy()
+        perm[..., i] = np.where(accepted, i + 1, i)
+        perm[..., i + 1] = np.where(accepted, i, i + 1)
+        self.configs = np.take_along_axis(self.configs, perm[..., None], axis=-2)
+        self.energies = np.take_along_axis(e, perm, axis=-1)
 
 
-def mcmc_step(ensemble: TemperingEnsemble, rung: int) -> bool:
-    """One Metropolis proposal on a single rung; True if accepted."""
+def mcmc_step(ensemble: TemperingEnsemble, rung: int) -> bool | np.ndarray:
+    """One Metropolis proposal on a single rung; True if accepted (k flags for k replicas).
+
+    This is the ensemble's step under a mask: only ``rung`` moves and is counted
+    in the acceptance rates, though energies are evaluated for every chain.  It
+    leaves the adaptation window and the proposal scales alone.
+    """
     if not 0 <= rung < ensemble.n_rungs:
         raise ValueError(f"rung {rung} out of range [0, {ensemble.n_rungs})")
-    n = ensemble.disorder.n
-    rng = ensemble.rngs[rung]
-    sigma = ensemble.configs[rung]
-    move = rng.standard_normal(n)
-    cand = sigma + ensemble.deltas[rung] * move
-    cand *= np.sqrt(n) / np.linalg.norm(cand)
-    h_cand = float(hamiltonian_batch(ensemble.disorder, cand[None, :])[0])
-    accepted = bool(
-        np.log(rng.random()) < ensemble.betas[rung] * (h_cand - ensemble.energies[rung])
-    )
-    if accepted:
-        ensemble.configs[rung] = cand
-        ensemble.energies[rung] = h_cand
-    ensemble._steps[rung] += 1
-    ensemble._accepts[rung] += accepted
-    return accepted
+    accepted = ensemble._metropolis(np.arange(ensemble.n_rungs) == rung)[..., rung]
+    return bool(accepted) if accepted.ndim == 0 else accepted
 
 
 def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = True) -> None:
@@ -172,16 +184,14 @@ def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = Tru
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    n = ensemble.disorder.n
     for _ in range(sweeps):
         for _ in range(ensemble.steps_per_sweep):
-            ensemble._propose_all()
+            ensemble._adapt(ensemble._metropolis(True))
         if ensemble.n_rungs > 1:
             ensemble._swap_phase(ensemble._sweep_index % 2)
         ensemble._sweep_index += 1
         if record:
-            for r in range(ensemble.n_rungs):
-                ensemble.history[r].append(ensemble.energies[r] / n)
+            ensemble._records.append(ensemble.energies / ensemble.disorder.n)
 
 
 def batch_means_stderr(series, n_batches: int = 20) -> float:
@@ -214,6 +224,8 @@ def thermo_integration(ensemble: TemperingEnsemble) -> list[ThermoPoint]:
     trapezoid weights treating rungs as independent (swaps make this an
     approximation).  Rungs accepting below 1% are flagged unequilibrated.
     """
+    if ensemble.energies.ndim != 1:
+        raise ValueError("thermodynamic integration needs a single ladder, not replica ladders")
     if ensemble.betas[0] != 0.0:
         raise ValueError("thermodynamic integration needs a ladder starting at beta=0")
     if any(len(h) == 0 for h in ensemble.history):
@@ -278,11 +290,12 @@ def overlap_probe(
 ) -> OverlapHistogram:
     """Distribution of pairwise overlaps between k independent replicas.
 
-    Each replica is an independent copy of the ensemble's ladder (fresh
-    seed-derived streams, same disorder); after burn-in the replicas advance
-    one sweep at a time and the overlaps of all pairs of configurations at
-    rung ``beta_index`` are recorded.  Tempering within each replica is what
-    gives the cold rung a chance to equilibrate.
+    Each replica is an independent copy of the ensemble's ladder (its own
+    seed, same disorder); all k advance together on one replica-axis
+    ensemble.  After burn-in they advance one sweep at a time and the
+    overlaps of all pairs of configurations at rung ``beta_index`` are
+    recorded.  Tempering within each replica is what gives the cold rung a
+    chance to equilibrate.
     """
     if k < 2:
         raise ValueError(f"need at least two replicas, got {k}")
@@ -298,54 +311,43 @@ def overlap_probe(
     if len(replica_seeds) != k:
         raise ValueError(f"need {k} replica seeds, got {len(replica_seeds)}")
 
-    replicas = [
-        TemperingEnsemble(
-            ensemble.disorder,
-            ensemble.betas,
-            seed=s,
-            proposal_scale=float(ensemble.deltas[0]),
-            steps_per_sweep=ensemble.steps_per_sweep,
-        )
-        for s in replica_seeds
-    ]
-    for rep in replicas:
-        if burn_in > 0:
-            tempering_sweep(rep, burn_in, record=False)
-        rep.freeze()
+    replicas = TemperingEnsemble(
+        ensemble.disorder,
+        ensemble.betas,
+        seed=list(replica_seeds),
+        proposal_scale=float(ensemble.deltas.flat[0]),
+        steps_per_sweep=ensemble.steps_per_sweep,
+    )
+    if burn_in > 0:
+        tempering_sweep(replicas, burn_in, record=False)
+    replicas.freeze()
 
     n = ensemble.disorder.n
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts = np.zeros(bins, dtype=np.int64)
-    pair_count = 0
-    all_near_one = True
-    for _ in range(sweeps):
-        for rep in replicas:
-            tempering_sweep(rep, 1, record=True)
-        snap = np.stack([rep.configs[beta_index] for rep in replicas])
-        r_pairs = (snap @ snap.T) / n
-        vals = r_pairs[np.triu_indices(k, 1)]
-        np.clip(vals, -1.0, 1.0, out=vals)
-        idx = np.minimum((np.floor((vals + 1.0) / 2.0 * bins)).astype(int), bins - 1)
-        np.add.at(counts, idx, 1)
-        pair_count += vals.size
-        if np.any(vals < 1.0 - 1e-9):
-            all_near_one = False
+    pairs = np.triu_indices(k, 1)
+    vals = np.empty((sweeps, pairs[0].size))
+    for s in range(sweeps):
+        tempering_sweep(replicas, 1, record=True)
+        snap = replicas.configs[:, beta_index]  # the probed rung of every replica
+        vals[s] = (snap @ snap.T)[pairs] / n
+    np.clip(vals, -1.0, 1.0, out=vals)
+    idx = np.minimum(np.floor((vals + 1.0) / 2.0 * bins).astype(int), bins - 1)
+    counts = np.bincount(idx.ravel(), minlength=bins)
 
-    rates = np.array([rep.acceptance_rates()[beta_index] for rep in replicas])
-    energies = np.array([np.mean(rep.history[beta_index]) for rep in replicas])
-    stderrs = np.array([batch_means_stderr(rep.history[beta_index]) for rep in replicas])
-    swap_into_top = np.array([rep.swap_rates()[-1] for rep in replicas]) if ensemble.n_rungs > 1 else np.array([])
+    history = np.array(replicas.history)[:, beta_index]  # (k, sweeps)
+    rates = replicas.acceptance_rates()[:, beta_index]
     diagnostics = {
         "beta": float(ensemble.betas[beta_index]),
         "replica_acceptance": rates.tolist(),
-        "replica_mean_energy": energies.tolist(),
-        "replica_energy_stderr": stderrs.tolist(),
-        "replica_top_swap_rate": swap_into_top.tolist(),
+        "replica_mean_energy": history.mean(axis=1).tolist(),
+        "replica_energy_stderr": [batch_means_stderr(h) for h in history],
+        "replica_top_swap_rate": replicas.swap_rates()[:, -1].tolist()
+        if ensemble.n_rungs > 1 else [],
         "equilibrated": bool(np.all(rates >= UNEQUILIBRATED_ACCEPTANCE)),
-        "degenerate": bool(all_near_one),
+        "degenerate": bool(np.all(vals >= 1.0 - 1e-9)),
     }
     return OverlapHistogram(
-        bin_edges=edges, counts=counts, k=k, pair_count=pair_count, diagnostics=diagnostics
+        bin_edges=np.linspace(-1.0, 1.0, bins + 1), counts=counts, k=k, pair_count=vals.size,
+        diagnostics=diagnostics,
     )
 
 

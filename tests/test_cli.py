@@ -1,9 +1,13 @@
 """CLI contract: parsing, grids, output formats, exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -100,6 +104,58 @@ class TestEmit:
         lines = path.read_text().strip().split("\n")[2:]
         assert [float(line) for line in lines] == values
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("earlier output\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(RuntimeError, match="rename refused"):
+            emit([{"a": 1}], {}, "json", str(path))
+        assert path.read_text() == "earlier output\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_write_through_symlink_keeps_link_and_mode(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("earlier output\n")
+        real.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        emit([{"a": 1}], {}, "json", str(link))
+        assert link.is_symlink()
+        assert json.loads(real.read_text())["rows"] == [{"a": 1}]
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        emit([{"a": 1}], {}, "json", str(fifo))
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert got and json.loads(got[0])["rows"] == [{"a": 1}]
+
+    def test_failed_disorder_save_keeps_earlier_file(self, tmp_path, monkeypatch):
+        from pspin.simulator import sample_disorder, save_disorder
+
+        path = tmp_path / "J.bin"
+        save_disorder(sample_disorder(4, 3, seed=1), str(path))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            save_disorder(sample_disorder(4, 3, seed=2), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["J.bin"]
+
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             emit([], {}, "csv", None)
@@ -186,7 +242,29 @@ class TestCommands:
         assert run_cli(*args, "-o", str(out1)).returncode == 0
         assert dpath.exists()
         assert run_cli(*args, "-o", str(out2)).returncode == 0
-        assert out1.read_text() == out2.read_text()
+        (comment1, rows1), (comment2, rows2) = (
+            out.read_text().split("\n", 1) for out in (out1, out2)
+        )
+        assert rows1 == rows2
+        meta1, meta2 = (json.loads(c.split(" ", 3)[3]) for c in (comment1, comment2))
+        assert meta1.pop("disorder")["source"] == "seed"
+        assert meta2.pop("disorder")["source"] == "file"
+        assert meta1 == meta2
+
+    def test_disorder_provenance_in_meta(self, tmp_path):
+        dpath = tmp_path / "J.bin"
+        out = tmp_path / "g.json"
+        args = ["gstate", "--p", "3", "--n", "6", "--restarts", "2", "--seed", "9",
+                "--format", "json", "-o", str(out)]
+        assert run_cli(*args).returncode == 0
+        assert json.loads(out.read_text())["meta"]["disorder"] == {"source": "seed", "seed": 9}
+        assert run_cli(*args, "--disorder-file", str(dpath)).returncode == 0
+        assert json.loads(out.read_text())["meta"]["disorder"] == {"source": "seed", "seed": 9}
+        assert run_cli(*args, "--disorder-file", str(dpath)).returncode == 0
+        digest = hashlib.sha256(dpath.read_bytes()).hexdigest()
+        assert json.loads(out.read_text())["meta"]["disorder"] == {
+            "source": "file", "path": str(dpath), "sha256": digest,
+        }
 
     def test_disorder_file_shape_mismatch_is_numerical_failure(self, tmp_path):
         dpath = tmp_path / "J.bin"

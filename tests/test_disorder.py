@@ -1,5 +1,6 @@
 """Disorder sampling, energy/gradient kernels, binary persistence."""
 
+import hashlib
 import struct
 import tracemalloc
 
@@ -11,7 +12,6 @@ from pspin.simulator import (
     DisorderTensor,
     gradient,
     hamiltonian,
-    hamiltonian_batch,
     load_disorder,
     overlap,
     project_to_sphere,
@@ -95,9 +95,18 @@ class TestHamiltonian:
         J = sample_disorder(9, 3, seed=8)
         rng = np.random.default_rng(2)
         configs = np.stack([random_configuration(9, rng) for _ in range(5)])
-        hb = hamiltonian_batch(J, configs)
+        hb = hamiltonian(J, configs)
         for i in range(5):
             assert hb[i] == pytest.approx(hamiltonian(J, configs[i]), rel=1e-12)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        from pspin.simulator import disorder
+
+        J = sample_disorder(5, 4, seed=2)
+        X = np.random.default_rng(3).standard_normal((7, 5))
+        whole = hamiltonian(J, X)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * 5**3)  # blocks of 2 rows
+        np.testing.assert_allclose(hamiltonian(J, X), whole, rtol=1e-13)
 
     def test_kernels_match_einsum_oracle(self):
         # every kernel against the defining sum over index tuples, p = 2, 3, 4
@@ -105,9 +114,10 @@ class TestHamiltonian:
         for p, n in ((2, 9), (3, 7), (4, 6)):
             J = sample_disorder(n, p, seed=3 + p)
             X = np.stack([random_configuration(n, rng) for _ in range(4)])
+            stack = np.stack([random_configuration(n, rng) for _ in range(3 * 5)])  # (k * rungs, n)
             axes = "abcd"[:p]
 
-            def contract(free=""):
+            def contract(free="", X=X):
                 # row r of X on every tensor axis except ``free``
                 others = [c for c in axes if c != free]
                 subscripts = ",".join([axes] + ["r" + c for c in others]) + "->r" + free
@@ -115,8 +125,8 @@ class TestHamiltonian:
 
             energy = contract()
             grad = sum(contract(c) for c in axes)
-            np.testing.assert_allclose(hamiltonian_batch(J, X), energy, rtol=1e-12)
             np.testing.assert_allclose(hamiltonian(J, X), energy, rtol=1e-12)
+            np.testing.assert_allclose(hamiltonian(J, stack), contract(X=stack), rtol=1e-12)
             np.testing.assert_allclose(gradient(J, X), grad, rtol=1e-12)
             for i in range(len(X)):
                 assert hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
@@ -167,6 +177,7 @@ class TestPersistence:
         back = load_disorder(str(path))
         assert back.n == 7 and back.p == 3 and back.seed is None
         assert np.array_equal(back.entries, J.entries)
+        assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_header_layout(self, tmp_path):
         J = sample_disorder(4, 2, seed=1)

@@ -7,6 +7,7 @@ from pspin.simulator import (
     TemperingEnsemble,
     batch_means_stderr,
     default_ladder,
+    hamiltonian,
     mcmc_step,
     overlap_probe,
     sample_disorder,
@@ -36,13 +37,36 @@ class TestEnsembleBasics:
         np.testing.assert_allclose(norms, 10.0, rtol=1e-10)
 
     def test_energies_cached_consistently(self):
-        from pspin.simulator import hamiltonian_batch
-
         ens = make_ensemble()
         tempering_sweep(ens, 5, record=False)
         np.testing.assert_allclose(
-            ens.energies, hamiltonian_batch(ens.disorder, ens.configs), rtol=1e-10
+            ens.energies, hamiltonian(ens.disorder, ens.configs), rtol=1e-10
         )
+
+    def test_replica_axis_shapes(self):
+        J = sample_disorder(10, 3, seed=123)
+        ens = TemperingEnsemble(J, [0.0, 0.4, 0.8], seed=[1, 2])
+        tempering_sweep(ens, 3)
+        assert ens.configs.shape == (2, 3, 10)
+        assert ens.energies.shape == ens.deltas.shape == ens.acceptance_rates().shape == (2, 3)
+        assert ens.swap_rates().shape == (2, 2)
+        assert np.array(ens.history).shape == (2, 3, 3)
+        np.testing.assert_allclose(np.sum(ens.configs**2, axis=-1), 10.0, rtol=1e-10)
+
+    def test_replica_matches_lone_ladder(self):
+        # same draws as a lone ladder with the replica's seed; only the GEMM's
+        # last bits depend on how many rows share the energy call
+        J = sample_disorder(10, 3, seed=123)
+        seeds = [np.random.SeedSequence((8, i)) for i in range(3)]
+        stacked = TemperingEnsemble(J, [0.0, 0.4, 0.8], seed=seeds)
+        tempering_sweep(stacked, 5)
+        for i, s in enumerate(seeds):
+            lone = TemperingEnsemble(J, [0.0, 0.4, 0.8], seed=s)
+            tempering_sweep(lone, 5)
+            np.testing.assert_allclose(stacked.configs[i], lone.configs, rtol=1e-10)
+            np.testing.assert_allclose(stacked.history[i], lone.history, rtol=1e-10)
+            assert np.array_equal(stacked._steps[i], lone._steps)
+            assert np.array_equal(stacked._swap_accepts[i], lone._swap_accepts)
 
 
 class TestMetropolisStep:
@@ -65,6 +89,22 @@ class TestMetropolisStep:
             mcmc_step(b, 1)
         assert np.array_equal(a.configs, b.configs)
         assert np.array_equal(a.energies, b.energies)
+
+    def test_moves_and_counts_only_its_rung(self):
+        ens = make_ensemble(betas=(0.0, 0.4, 0.8))
+        before = ens.configs.copy()
+        moved = [mcmc_step(ens, 1) for _ in range(20)]
+        assert any(moved)
+        assert np.array_equal(ens.configs[[0, 2]], before[[0, 2]])
+        assert not np.array_equal(ens.configs[1], before[1])
+        assert ens._steps.tolist() == [0, 20, 0]
+        assert ens._accepts[1] == sum(moved) and ens._accepts[[0, 2]].tolist() == [0, 0]
+
+    def test_leaves_adaptation_alone(self):
+        ens = make_ensemble(betas=(0.0, 0.5))
+        for _ in range(200):  # every step accepts at beta 0: a full window would rescale
+            mcmc_step(ens, 0)
+        assert ens.deltas.tolist() == [1.0, 1.0]
 
     def test_rejects_bad_rung(self):
         ens = make_ensemble()
@@ -124,6 +164,13 @@ class TestThermoIntegration:
 
     def test_requires_zero_start(self):
         ens = make_ensemble(betas=(0.1, 0.5))
+        tempering_sweep(ens, 10)
+        with pytest.raises(ValueError):
+            thermo_integration(ens)
+
+    def test_rejects_replica_ladders(self):
+        J = sample_disorder(10, 3, seed=123)
+        ens = TemperingEnsemble(J, [0.0, 0.4], seed=[1, 2])
         tempering_sweep(ens, 10)
         with pytest.raises(ValueError):
             thermo_integration(ens)
