@@ -446,7 +446,7 @@ def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
                 "equilibrated": pt.equilibrated,
             }
         )
-    return rows, {"disorder": source}
+    return rows, {"disorder": source, "ladder": ladder}
 
 
 def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
@@ -474,6 +474,7 @@ def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
     ]
     extra = {
         "disorder": source,
+        "ladder": ladder,
         "modal_overlap": hist.modal_overlap(),
         "q_beta_theory": sol.q_beta,
         "mass_near_q_beta": hist.mass_near(sol.q_beta, 0.15),

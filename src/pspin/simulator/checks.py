@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import gradient, hamiltonian, overlap, random_configuration, sample_disorder
+from .disorder import (
+    _kr_powers,
+    gradient,
+    hamiltonian,
+    overlap,
+    random_configuration,
+    sample_disorder,
+)
 
 _BLOCK_ENTRIES = 2**22  # couplings drawn per block, unless one draw alone is larger
 
@@ -51,16 +58,11 @@ def covariance_check(
     count = n**p
     norm = float(n) ** (-(p - 1) / 2.0)
 
-    cols = []
-    for s1, s2 in pairs:
-        for s in (s1, s2):
-            if s.shape != (n,):
-                raise ValueError(f"configuration shape {s.shape} does not match n={n}")
-            v = s
-            for _ in range(p - 1):
-                v = np.outer(v, s).ravel()
-            cols.append(v)
-    u = np.stack(cols, axis=1)  # (n^p, 2 * npairs)
+    configs = [s for pair in pairs for s in pair]
+    for s in configs:
+        if s.shape != (n,):
+            raise ValueError(f"configuration shape {s.shape} does not match n={n}")
+    u = np.ascontiguousarray(_kr_powers(np.stack(configs), p)[p].T)  # (n^p, 2 * npairs)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     m = len(pairs)

@@ -11,6 +11,14 @@ realization stacked along a leading axis.  Each Metropolis step proposes on
 every replica and rung at once and evaluates all candidates in one energy
 call; swaps are drawn and applied as arrays too.
 
+Energies come from ``folded_hamiltonian``, which contracts the tensor's
+half-folded couplings (about half the entries at p=3; at p=2 the raw
+couplings) and differs from ``hamiltonian`` only in the last bits.  A
+Metropolis or swap decision could flip only if its uniform draw fell inside
+that margin, so the configurations and the counters match those of chains run
+on ``hamiltonian``; recorded energies, and the free energies integrated from
+them, may differ from such runs in their last digits.
+
 Proposal scales adapt toward a 30-50% acceptance window during burn-in and
 must be frozen before measurement so the kernels stay stationary.  Each
 replica draws all its randomness from one generator of its own seed, in
@@ -25,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import DisorderTensor, hamiltonian
+from .disorder import DisorderTensor, folded_hamiltonian
 
 ADAPT_WINDOW = 50
 ADAPT_LOW, ADAPT_HIGH = 0.30, 0.50
 UNEQUILIBRATED_ACCEPTANCE = 0.01
+RHAT_MAX = 1.05  # split-R-hat above this flags replicas that disagree
 
 
 class TemperingEnsemble:
@@ -65,17 +74,19 @@ class TemperingEnsemble:
         self._replica_shape = (len(seeds),) if isinstance(seed, (list, tuple)) else ()
         n, shape = disorder.n, self._replica_shape + betas.shape
 
-        configs = self._draw("standard_normal", betas.size, n)
+        configs = self._draw("standard_normal", np.empty((len(seeds), betas.size, n)))
         self.configs = configs * (np.sqrt(n) / np.linalg.norm(configs, axis=-1, keepdims=True))
-        self.energies = hamiltonian(disorder, self.configs.reshape(-1, n)).reshape(shape)
+        self.energies = folded_hamiltonian(disorder, self.configs.reshape(-1, n)).reshape(shape)
         self.deltas = np.full(shape, float(proposal_scale))
         self.steps_per_sweep = steps_per_sweep if steps_per_sweep is not None else n
         self.adapting = True
 
         self._steps = np.zeros(shape, dtype=np.int64)
         self._accepts = np.zeros(shape, dtype=np.int64)
-        self._window_steps = np.zeros(shape, dtype=np.int64)
+        self._window_steps = 0  # steps in the adaptation window, the same for every chain
         self._window_accepts = np.zeros(shape, dtype=np.int64)
+        self._noise = np.empty((len(seeds), betas.size, n))  # one step's draws, per replica
+        self._uniforms = np.empty((len(seeds), betas.size))
         pairs = self._replica_shape + (max(betas.size - 1, 1),)
         self._swap_attempts = np.zeros(pairs, dtype=np.int64)
         self._swap_accepts = np.zeros_like(self._swap_attempts)
@@ -108,10 +119,14 @@ class TemperingEnsemble:
                 np.nan,
             )
 
-    def _draw(self, method: str, *size: int) -> np.ndarray:
-        """One ``method`` call of ``size`` per replica generator, under the replica axis."""
-        draws = np.stack([getattr(rng, method)(size) for rng in self.rngs])
-        return draws.reshape(self._replica_shape + size)
+    def _draw(self, method: str, out: np.ndarray) -> np.ndarray:
+        """One ``method`` call per replica generator into ``out[i]``; ``out`` under the replica axis.
+
+        ``out`` has a leading axis of one entry per replica, also for a single ladder.
+        """
+        for rng, block in zip(self.rngs, out):
+            getattr(rng, method)(out=block)
+        return out.reshape(self._replica_shape + out.shape[1:])
 
     def _metropolis(self, rungs) -> np.ndarray:
         """One proposal on every replica and rung; only where ``rungs`` holds may it move.
@@ -120,11 +135,10 @@ class TemperingEnsemble:
         whatever the mask, so the streams advance the same way.
         """
         n = self.disorder.n
-        noise = self._draw("standard_normal", self.n_rungs, n)
-        cand = self.configs + self.deltas[..., None] * noise
+        cand = self.configs + self.deltas[..., None] * self._draw("standard_normal", self._noise)
         cand *= (np.sqrt(n) / np.linalg.norm(cand, axis=-1))[..., None]
-        h_cand = hamiltonian(self.disorder, cand.reshape(-1, n)).reshape(self.energies.shape)
-        logu = np.log(self._draw("random", self.n_rungs))
+        h_cand = folded_hamiltonian(self.disorder, cand.reshape(-1, n)).reshape(self.energies.shape)
+        logu = np.log(self._draw("random", self._uniforms))
         accepted = rungs & (logu < self.betas * (h_cand - self.energies))
         np.copyto(self.configs, cand, where=accepted[..., None])
         np.copyto(self.energies, h_cand, where=accepted)
@@ -134,23 +148,22 @@ class TemperingEnsemble:
         return accepted
 
     def _adapt(self, accepted: np.ndarray) -> None:
-        """Count a full step's accepts in the window; rescale the chains whose window is full."""
+        """Count a full step's accepts in the window; rescale every chain when it is full."""
         self._window_steps += 1
         self._window_accepts += accepted
-        full = self._window_steps >= ADAPT_WINDOW
-        if self.adapting and full.any():
-            rates = self._window_accepts / np.maximum(self._window_steps, 1)
-            self.deltas[full & (rates < ADAPT_LOW)] *= 0.8
-            self.deltas[full & (rates > ADAPT_HIGH)] *= 1.25
+        if self.adapting and self._window_steps >= ADAPT_WINDOW:
+            rates = self._window_accepts / self._window_steps
+            self.deltas[rates < ADAPT_LOW] *= 0.8
+            self.deltas[rates > ADAPT_HIGH] *= 1.25
             np.clip(self.deltas, 1e-8, 1e2, out=self.deltas)
-            self._window_steps[full] = 0
-            self._window_accepts[full] = 0
+            self._window_steps = 0
+            self._window_accepts[...] = 0
 
     def _swap_phase(self, parity: int) -> None:
         """Swap proposals on the adjacent pairs (i, i + 1), i = parity, parity + 2, ..."""
         i = np.arange(parity, self.n_rungs - 1, 2)
         e = self.energies
-        logu = np.log(self._draw("random", i.size))
+        logu = np.log(self._draw("random", np.empty((len(self.rngs), i.size))))
         accepted = logu < (self.betas[i] - self.betas[i + 1]) * (e[..., i + 1] - e[..., i])
         self._swap_attempts[..., i] += 1
         self._swap_accepts[..., i] += accepted
@@ -203,6 +216,28 @@ def batch_means_stderr(series, n_batches: int = 20) -> float:
     usable = (x.size // nb) * nb
     batches = x[:usable].reshape(nb, -1).mean(axis=1)
     return float(batches.std(ddof=1) / np.sqrt(nb))
+
+
+def split_rhat(chains) -> float:
+    """Split-R-hat of m series of equal length (Vehtari et al., Bayesian Analysis 2021).
+
+    Each series is split into its first and last halves (the middle draw of an
+    odd length is dropped), and the 2m halves give the potential scale
+    reduction sqrt(((l - 1)/l W + B/l) / W) from the within-half variance W and
+    the variance B/l of the half means, l the half length.  Near 1 when every
+    half samples the same distribution; NaN with halves shorter than 2 or no
+    within-half variance.
+    """
+    x = np.asarray(chains, dtype=float)
+    half = x.shape[-1] // 2
+    if half < 2:
+        return float("nan")
+    halves = np.concatenate([x[:, :half], x[:, -half:]])
+    within = halves.var(axis=1, ddof=1).mean()
+    if not within > 0.0:
+        return float("nan")
+    between = halves.mean(axis=1).var(ddof=1)  # B / l
+    return float(np.sqrt(((half - 1) / half * within + between) / within))
 
 
 @dataclass(frozen=True)
@@ -296,6 +331,10 @@ def overlap_probe(
     overlaps of all pairs of configurations at rung ``beta_index`` are
     recorded.  Tempering within each replica is what gives the cold rung a
     chance to equilibrate.
+
+    The run counts as equilibrated when every replica accepts at least 1% of
+    its proposals at the probed rung and the split-R-hat of the rung's
+    recorded energies across the k replicas is at most 1.05.
     """
     if k < 2:
         raise ValueError(f"need at least two replicas, got {k}")
@@ -335,6 +374,7 @@ def overlap_probe(
 
     history = np.array(replicas.history)[:, beta_index]  # (k, sweeps)
     rates = replicas.acceptance_rates()[:, beta_index]
+    rhat = split_rhat(history)
     diagnostics = {
         "beta": float(ensemble.betas[beta_index]),
         "replica_acceptance": rates.tolist(),
@@ -342,7 +382,8 @@ def overlap_probe(
         "replica_energy_stderr": [batch_means_stderr(h) for h in history],
         "replica_top_swap_rate": replicas.swap_rates()[:, -1].tolist()
         if ensemble.n_rungs > 1 else [],
-        "equilibrated": bool(np.all(rates >= UNEQUILIBRATED_ACCEPTANCE)),
+        "replica_energy_rhat": rhat,
+        "equilibrated": bool(np.all(rates >= UNEQUILIBRATED_ACCEPTANCE) and rhat <= RHAT_MAX),
         "degenerate": bool(np.all(vals >= 1.0 - 1e-9)),
     }
     return OverlapHistogram(

@@ -233,6 +233,28 @@ class TestCommands:
         assert "modal_overlap" in doc["meta"]
         assert "equilibrated" in doc["meta"]["diagnostics"]
 
+    def test_meta_reports_sampled_ladder(self, tmp_path):
+        # default_ladder adds up to 7 points around beta_c to the requested rungs
+        from pspin import solve_critical
+        from pspin.simulator import default_ladder
+
+        out = tmp_path / "p.json"
+        assert run_cli("probe", "--p", "3", "--n", "8", "--rungs", "14", "--k", "2",
+                       "--sweeps", "2", "--burn-in", "0", "--format", "json",
+                       "-o", str(out)).returncode == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["options"]["rungs"] == 14
+        assert len(meta["ladder"]) == 21
+        assert meta["ladder"][0] == 0.0 and meta["ladder"][-1] == meta["diagnostics"]["beta"]
+
+        assert run_cli("thermo", "--p", "3", "--n", "6", "--beta-max", "1.5", "--rungs", "5",
+                       "--sweeps", "4", "--burn-in", "0", "--format", "json",
+                       "-o", str(out)).returncode == 0
+        doc = json.loads(out.read_text())
+        beta_c = solve_critical(3).beta_c
+        assert doc["meta"]["ladder"] == default_ladder(1.5, 5, beta_c=beta_c).tolist()
+        assert [row["beta"] for row in doc["rows"]] == doc["meta"]["ladder"]
+
     def test_disorder_file_cycle(self, tmp_path):
         dpath = tmp_path / "J.bin"
         out1 = tmp_path / "a.csv"

@@ -1,5 +1,6 @@
 """Disorder sampling, energy/gradient kernels, binary persistence."""
 
+import copy
 import hashlib
 import struct
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from pspin.simulator import (
     DisorderSizeError,
     DisorderTensor,
+    folded_hamiltonian,
     gradient,
     hamiltonian,
     load_disorder,
@@ -104,18 +106,20 @@ class TestHamiltonian:
 
         J = sample_disorder(5, 4, seed=2)
         X = np.random.default_rng(3).standard_normal((7, 5))
-        whole = hamiltonian(J, X)
+        whole = [energy(J, X) for energy in (hamiltonian, folded_hamiltonian)]
         monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * 5**3)  # blocks of 2 rows
-        np.testing.assert_allclose(hamiltonian(J, X), whole, rtol=1e-13)
+        np.testing.assert_allclose(hamiltonian(J, X), whole[0], rtol=1e-13)
+        np.testing.assert_allclose(folded_hamiltonian(J, X), whole[1], rtol=1e-13)
 
     def test_kernels_match_einsum_oracle(self):
-        # every kernel against the defining sum over index tuples, p = 2, 3, 4
+        # every kernel against the defining sum over index tuples, p = 2..5,
+        # odd and even n down to n = 2 (the folded halves P and Q of size 1)
         rng = np.random.default_rng(5)
-        for p, n in ((2, 9), (3, 7), (4, 6)):
+        for p, n in ((2, 9), (3, 7), (4, 6), (5, 5), (2, 2), (3, 2), (4, 3), (5, 2)):
             J = sample_disorder(n, p, seed=3 + p)
             X = np.stack([random_configuration(n, rng) for _ in range(4)])
             stack = np.stack([random_configuration(n, rng) for _ in range(3 * 5)])  # (k * rungs, n)
-            axes = "abcd"[:p]
+            axes = "abcde"[:p]
 
             def contract(free="", X=X):
                 # row r of X on every tensor axis except ``free``
@@ -127,10 +131,33 @@ class TestHamiltonian:
             grad = sum(contract(c) for c in axes)
             np.testing.assert_allclose(hamiltonian(J, X), energy, rtol=1e-12)
             np.testing.assert_allclose(hamiltonian(J, stack), contract(X=stack), rtol=1e-12)
+            np.testing.assert_allclose(folded_hamiltonian(J, X), energy, rtol=1e-12)
+            np.testing.assert_allclose(folded_hamiltonian(J, stack), contract(X=stack), rtol=1e-12)
             np.testing.assert_allclose(gradient(J, X), grad, rtol=1e-12)
             for i in range(len(X)):
                 assert hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
+                assert folded_hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
                 np.testing.assert_allclose(gradient(J, X[i]), grad[i], rtol=1e-12)
+
+    def test_fold_size_and_lifetime(self, tmp_path):
+        # (p + 1) / 2^p of the entries for even n at p >= 3, the raw couplings
+        # at p = 2; built once, carried by copies, left out of equality and of the file
+        J = sample_disorder(8, 2, seed=2)
+        assert [layout for layout, _ in J.fold] == ["NN"]
+        assert np.shares_memory(J.fold[0][1], J.entries)
+        for p, n, layouts in ((3, 8, ["PPN", "NQQ"]), (4, 8, ["PPPN", "PNQQ", "QQQQ"])):
+            J = sample_disorder(n, p, seed=p)
+            assert [layout for layout, _ in J.fold] == layouts
+            assert sum(piece.size for _, piece in J.fold) * 2**p == (p + 1) * n**p
+            assert J.fold is J.fold
+        clone = copy.deepcopy(J)
+        assert "fold" in vars(clone) and clone.fold[0][1] is not J.fold[0][1]
+        assert J == DisorderTensor(J.n, J.p, J.entries, J.seed)
+        assert "fold" not in repr(J)
+        path = tmp_path / "disorder.bin"
+        save_disorder(J, str(path))
+        assert path.stat().st_size == 16 + 8 * J.n**J.p
+        assert "fold" not in vars(load_disorder(str(path)))
 
     def test_dimension_mismatch(self):
         J = sample_disorder(6, 3, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pspin import solve_critical
 from pspin.simulator import (
     TemperingEnsemble,
     batch_means_stderr,
@@ -11,6 +12,7 @@ from pspin.simulator import (
     mcmc_step,
     overlap_probe,
     sample_disorder,
+    split_rhat,
     tempering_sweep,
     thermo_integration,
 )
@@ -111,6 +113,18 @@ class TestMetropolisStep:
         with pytest.raises(ValueError):
             mcmc_step(ens, 3)
 
+    def test_step_draws_one_block_per_replica(self):
+        # each replica's generator gives one (rungs, n) noise block, then one
+        # (rungs,) block of uniforms, as calls with a size would
+        ens = make_ensemble(seed=[7, 8])
+        mcmc_step(ens, 1)
+        for seed, rng, noise in zip((7, 8), ens.rngs, ens._noise):
+            ref = np.random.default_rng(seed)
+            ref.standard_normal((3, 10))  # the starting points
+            assert np.array_equal(ref.standard_normal((3, 10)), noise)
+            ref.random(3)
+            assert ref.bit_generator.state == rng.bit_generator.state
+
 
 class TestTemperingSweep:
     def test_single_rung_is_plain_metropolis(self):
@@ -144,6 +158,30 @@ class TestTemperingSweep:
         tempering_sweep(b, 25)
         assert np.array_equal(a.configs, b.configs)
         assert a.history == b.history
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_fold_keeps_every_decision(self, p, monkeypatch):
+        # folded energies differ from hamiltonian's in the last bits only, which
+        # no accept, swap or rescaling decision of an adapting run resolves
+        from pspin.simulator import mcmc
+
+        J = sample_disorder(12, p, seed=40 + p)
+
+        def run():
+            ens = TemperingEnsemble(J, default_ladder(1.5, 6), seed=[3, 4])
+            tempering_sweep(ens, 60)
+            return ens
+
+        folded = run()
+        monkeypatch.setattr(mcmc, "folded_hamiltonian", hamiltonian)
+        plain = run()
+        assert np.any(folded.deltas != 1.0)  # the run adapted
+        assert 0 < folded._accepts.sum() < folded._steps.sum()
+        assert np.array_equal(folded.configs, plain.configs)
+        assert np.array_equal(folded._accepts, plain._accepts)
+        assert np.array_equal(folded._swap_accepts, plain._swap_accepts)
+        assert np.array_equal(folded.deltas, plain.deltas)
+        np.testing.assert_allclose(folded.energies, plain.energies, rtol=1e-12, atol=1e-12)
 
     def test_adaptation_freezes(self):
         ens = make_ensemble()
@@ -248,6 +286,23 @@ class TestLadder:
         assert len(grid) == 13
 
 
+class TestSplitRhat:
+    def test_hand_computed(self):
+        # halves [0, 2], [4, 6], [1, 3], [5, 7]: W = 2, B/l = var(1, 5, 2, 6) = 17/3, l = 2
+        assert split_rhat([[0, 2, 1, 3], [4, 6, 5, 7]]) == pytest.approx(np.sqrt(10 / 3))
+
+    def test_odd_length_drops_middle(self):
+        assert split_rhat([[0, 2, 9, 1, 3], [4, 6, -9, 5, 7]]) == pytest.approx(np.sqrt(10 / 3))
+
+    def test_iid_chains_near_one(self):
+        chains = np.random.default_rng(0).standard_normal((4, 2000))
+        assert abs(split_rhat(chains) - 1.0) < 0.01
+
+    def test_undefined_is_nan(self):
+        assert np.isnan(split_rhat([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))  # halves of one
+        assert np.isnan(split_rhat(np.ones((3, 10))))  # no variance
+
+
 class TestOverlapProbe:
     def test_independent_chains_at_beta_zero(self):
         """Free measure: overlaps concentrate near zero."""
@@ -261,6 +316,21 @@ class TestOverlapProbe:
         centers = 0.5 * (hist.bin_edges[:-1] + hist.bin_edges[1:])
         assert hist.counts[np.abs(centers) > 0.3].sum() / hist.pair_count < 0.05
         assert hist.counts[np.abs(centers) > 0.5].sum() / hist.pair_count < 0.01
+        assert hist.diagnostics["replica_energy_rhat"] <= 1.05
+        assert hist.diagnostics["equilibrated"]
+
+    def test_short_probe_without_burn_in_flagged(self):
+        # the cold rung still descends from its random start: every replica
+        # accepts enough, but the halves of its energy series disagree
+        cp = solve_critical(3)
+        J = sample_disorder(24, 3, seed=1)
+        ladder = default_ladder(2.0 * cp.beta_c, 4, beta_c=cp.beta_c)
+        hist = overlap_probe(TemperingEnsemble(J, ladder, seed=1), k=3,
+                             beta_index=len(ladder) - 1, sweeps=20, burn_in=0)
+        diagnostics = hist.diagnostics
+        assert min(diagnostics["replica_acceptance"]) >= 0.01
+        assert diagnostics["replica_energy_rhat"] > 1.05
+        assert not diagnostics["equilibrated"]
 
     def test_identical_seeds_flagged_degenerate(self):
         J = sample_disorder(12, 3, seed=9)
