@@ -23,38 +23,24 @@ from .free_energy import (
     tap_functional,
     tap_value,
 )
-from .mixtures import (
-    Mixture,
-    ShiftedMixture,
-    e_infinity,
-    eval_nu,
-    eval_nu_derivs,
-    onsager_term,
-    shift_mixture,
-    shifted_total,
-)
+from .mixtures import e_infinity, eval_nu_derivs, shifted_total
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CriticalPoint",
-    "Mixture",
     "ResidualTriple",
-    "ShiftedMixture",
     "TapFunctionalSample",
     "TapSolution",
     "aux_a",
     "aux_b",
     "e_infinity",
-    "eval_nu",
     "eval_nu_derivs",
     "free_energy",
     "lemma_bound_check",
-    "onsager_term",
     "overlap_polynomial",
     "p2_betac_residual",
     "residuals_prop",
-    "shift_mixture",
     "shifted_total",
     "solve_critical",
     "solve_q_beta",

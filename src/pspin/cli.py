@@ -104,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("critical", help="solved critical triple with residuals")
     add_common(sp)
-    sp.add_argument("--tol", type=float, default=1e-13, help="|a(q_c)| tolerance")
 
     sp = sub.add_parser("sweep", help="overlap and free energy on a beta grid")
     add_common(sp)

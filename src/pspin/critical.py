@@ -19,10 +19,11 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .mixtures import Mixture, e_infinity, eval_nu_derivs
+from .mixtures import e_infinity, eval_nu_derivs
 from .roots import bisect_secant
 
 Q_CAP = 1.0 - 1e-12  # keep log(1-q) finite: clamp solver domain away from q=1
+QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| accepted from the root polish
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def aux_b(p: int, q: float) -> float:
     return -math.log1p(-q) / q
 
 
-def solve_qc(p: int, tol: float = 1e-13) -> float:
+def solve_qc(p: int) -> float:
     """Interior root q_c of a(q) for p >= 3.
 
     a decreases from a(0)=0 until q*, the point where b(q) = 2(p-1)/p, and
@@ -73,8 +74,6 @@ def solve_qc(p: int, tol: float = 1e-13) -> float:
     """
     if p < 3:
         raise ValueError(f"interior root exists only for p >= 3, got {p}")
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
 
     level = 2.0 * (p - 1) / p
     q_star = bisect_secant(lambda q: aux_b(p, q) - level, 1e-12, Q_CAP)
@@ -86,7 +85,7 @@ def solve_qc(p: int, tol: float = 1e-13) -> float:
             f"a({q_star})={a_lo}, a({Q_CAP})={a_hi}"
         )
     q_c = bisect_secant(lambda q: aux_a(p, q), q_star, Q_CAP)
-    if abs(aux_a(p, q_c)) > tol:
+    if abs(aux_a(p, q_c)) > QC_RESIDUAL_MAX:
         raise RuntimeError(f"root polish failed for p={p}: |a(q_c)|={abs(aux_a(p, q_c))}")
     return q_c
 
@@ -118,7 +117,7 @@ def residuals_prop(p: int, beta: float, q: float, E: float) -> ResidualTriple:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    nu, nu1, nu2 = eval_nu_derivs(Mixture.pure(p), q)
+    nu, nu1, nu2 = eval_nu_derivs(p, q)
     q_half = q ** (p / 2.0)
     r_I = 1.0 / (1.0 - q) + beta * beta * (1.0 - q) * nu2 - beta * p * q ** (p / 2.0 - 1.0) * E
     r_IIa = beta * beta * (nu + (1.0 - q) * nu1) - beta * q_half * E

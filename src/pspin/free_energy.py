@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .critical import solve_critical
-from .mixtures import Mixture, e_infinity, eval_nu_derivs, shifted_total
+from .critical import Q_CAP, solve_critical
+from .mixtures import e_infinity, eval_nu_derivs, shifted_total
 from .roots import bisect_secant
-
-Q_CAP = 1.0 - 1e-12
 
 # branch labels recorded by free_energy()/sweep()
 BRANCH_RS = "rs"            # replica-symmetric value, beta < beta_c
@@ -75,14 +73,12 @@ def overlap_polynomial(p: int, q: float) -> float:
     return q ** (p / 2.0 - 1.0) * (1.0 - q)
 
 
-def solve_q_beta(p: int, beta: float, e_star: float, tol: float = 1e-12) -> float:
+def solve_q_beta(p: int, beta: float, e_star: float) -> float:
     """Larger root of f(q) = t_minus/beta on (ell, 1), for beta >= beta_c.
 
     f is strictly decreasing there from f(ell) > t_minus/beta down to f(1)=0,
     so bisection is safe.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     beta_c = solve_critical(p).beta_c
     if beta < beta_c:
         raise ValueError(f"beta={beta} below beta_c={beta_c}; no shifted overlap")
@@ -96,8 +92,7 @@ def solve_q_beta(p: int, beta: float, e_star: float, tol: float = 1e-12) -> floa
         )
     lo = ell if p > 2 else 1e-15
     return bisect_secant(
-        lambda q: overlap_polynomial(p, q) - target, lo, Q_CAP,
-        bracket_tol=1e-15, value_tol=0.0,
+        lambda q: overlap_polynomial(p, q) - target, lo, Q_CAP, bracket_tol=1e-15
     )
 
 
@@ -148,7 +143,7 @@ def tap_functional(p: int, beta: float, e_star: float, q: float) -> TapFunctiona
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
-    _, _, nu2 = eval_nu_derivs(Mixture.pure(p), q)
+    _, _, nu2 = eval_nu_derivs(p, q)
     g = tap_value(p, beta, e_star, q)
     dg = (beta * e_star * (p / 2.0) * q ** (p / 2.0 - 1.0)
           - 0.5 / (1.0 - q)

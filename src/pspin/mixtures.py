@@ -1,103 +1,21 @@
-"""Mixture polynomials of spherical spin models and their overlap-shifted form.
+"""The covariance polynomial nu(x) = x^p of the spherical pure p-spin model.
 
-A model's covariance is encoded by a polynomial nu(x) = sum_k g2_k x^k with
-nonnegative weights g2_k and degrees k >= 2; the pure p-spin model is the
-single monomial nu(x) = x^p.  Conditioning on an overlap q replaces nu by a
-shifted mixture whose pure-component weights are binomial, and whose total
-weight nu(1) - nu(q) - nu'(q)(1-q) is the variance that enters the Onsager
-reaction term.
+Conditioning on an overlap q leaves the variance nu(1) - nu(q) - nu'(q)(1-q),
+the shifted total that enters the Onsager reaction term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-P_MAX = 64  # binomial weights are computed in exact integer arithmetic up to here
 
 
-@dataclass(frozen=True)
-class Mixture:
-    """Finite mixture polynomial: ordered (degree, weight) pairs, degrees >= 2."""
-
-    coefficients: tuple[tuple[int, float], ...]
-    degree_max: int = field(init=False)
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("mixture needs at least one coefficient")
-        for k, g2 in self.coefficients:
-            if k < 2:
-                raise ValueError(f"mixture degree {k} < 2")
-            if g2 < 0.0:
-                raise ValueError(f"negative mixture weight {g2} at degree {k}")
-        if not any(g2 > 0.0 for _, g2 in self.coefficients):
-            raise ValueError("mixture needs at least one strictly positive weight")
-        object.__setattr__(self, "degree_max", max(k for k, _ in self.coefficients))
-
-    @classmethod
-    def pure(cls, p: int) -> "Mixture":
-        """The pure p-spin mixture x^p (single unit weight)."""
-        if not 2 <= p <= P_MAX:
-            raise ValueError(f"pure degree must be in [2, {P_MAX}], got {p}")
-        return cls(((p, 1.0),))
-
-
-def eval_nu(m: Mixture, x: float) -> float:
-    """Evaluate nu(x) = sum g2_k x^k."""
-    return sum(g2 * x**k for k, g2 in m.coefficients)
-
-
-def eval_nu_derivs(m: Mixture, x: float) -> tuple[float, float, float]:
-    """Evaluate (nu, nu', nu'') at x in one pass."""
-    nu = nu1 = nu2 = 0.0
-    for k, g2 in m.coefficients:
-        nu += g2 * x**k
-        nu1 += g2 * k * x ** (k - 1)
-        nu2 += g2 * k * (k - 1) * x ** (k - 2)
-    return nu, nu1, nu2
-
-
-@dataclass(frozen=True)
-class ShiftedMixture:
-    """Pure-component decomposition of the overlap-shifted mixture of x^p.
-
-    alpha_sq[i] is the weight of degree k = i + 2, equal to C(p,k)(1-q)^k q^(p-k).
-    """
-
-    base_p: int
-    q: float
-    alpha_sq: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        """Total shifted weight, equals nu(1) - nu(q) - nu'(q)(1-q)."""
-        return math.fsum(self.alpha_sq)
-
-    def to_mixture(self) -> Mixture:
-        return Mixture(tuple((k + 2, a2) for k, a2 in enumerate(self.alpha_sq)))
-
-
-def shift_mixture(p: int, q: float) -> ShiftedMixture:
-    """Decompose the q-shifted pure p-spin mixture into pure components.
-
-    The weights C(p,k)(1-q)^k q^(p-k), k = 2..p, sum to the shifted total
-    nu(1) - nu(q) - nu'(q)(1-q); binomials are exact integers before the
-    float conversion.
-    """
-    if not 2 <= p <= P_MAX:
-        raise ValueError(f"p must be in [2, {P_MAX}], got {p}")
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"overlap q must lie in [0, 1), got {q}")
-    one_minus_q = 1.0 - q
-    alpha_sq = tuple(
-        math.comb(p, k) * one_minus_q**k * q ** (p - k) for k in range(2, p + 1)
-    )
-    return ShiftedMixture(base_p=p, q=q, alpha_sq=alpha_sq)
+def eval_nu_derivs(p: int, q: float) -> tuple[float, float, float]:
+    """(nu, nu', nu'') of nu(x) = x^p at x = q."""
+    return q**p, p * q ** (p - 1), p * (p - 1) * q ** (p - 2)
 
 
 def shifted_total(p: int, q: float) -> float:
-    """nu(1) - nu(q) - nu'(q)(1-q) for the pure p-spin mixture.
+    """nu(1) - nu(q) - nu'(q)(1-q) of nu(x) = x^p.
 
     Uses the factored form (1-q) * sum_{j<p} (q^j - q^(p-1)), which avoids the
     catastrophic cancellation of the naive expression as q -> 1.
@@ -113,10 +31,3 @@ def e_infinity(p: int) -> float:
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     return 2.0 * math.sqrt((p - 1) / p)
-
-
-def onsager_term(p: int, q: float, beta: float) -> float:
-    """Onsager reaction term: half beta^2 times the shifted mixture total."""
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    return 0.5 * beta * beta * shifted_total(p, q)

@@ -15,15 +15,13 @@ def bisect_secant(
     hi: float,
     *,
     bracket_tol: float = 1e-13,
-    value_tol: float = 0.0,
-    secant_iters: int = 8,
 ) -> float:
     """Root of f on [lo, hi] where f(lo) and f(hi) have opposite signs.
 
     Bisects until the bracket is narrower than ``bracket_tol`` (or f hits
-    exactly zero), then polishes with secant steps that are rejected whenever
-    they leave the current bracket.  Returns the iterate with the smallest
-    |f| seen.  ``value_tol`` > 0 allows early exit on |f| <= value_tol.
+    exactly zero), then polishes with up to 8 secant steps that are
+    rejected whenever they leave the current bracket.  Returns the iterate
+    with the smallest |f| seen.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -42,8 +40,6 @@ def bisect_secant(
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if value_tol > 0.0 and abs(fmid) <= value_tol:
-            return mid
         if flo * fmid < 0.0:
             hi, fhi = mid, fmid
         else:
@@ -51,7 +47,7 @@ def bisect_secant(
 
     best, fbest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     a, fa, b, fb = lo, flo, hi, fhi
-    for _ in range(secant_iters):
+    for _ in range(8):
         if fb == fa:
             break
         x = b - fb * (b - a) / (fb - fa)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 
@@ -42,13 +42,20 @@ class DisorderSizeError(ValueError):
     """Requested tensor exceeds the configured entry budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderTensor:
     n: int
     p: int
     entries: np.ndarray  # flat, length n**p, row-major over (i_1, ..., i_p)
     seed: int | None     # None when loaded from a file
-    sha256: str | None = field(default=None, compare=False)  # of the file's bytes, if loaded
+    sha256: str | None = None  # of the file's bytes, if loaded
+
+    def __eq__(self, other):
+        """Same n, p, seed and entries; the file hash and the fold do not count."""
+        if not isinstance(other, DisorderTensor):
+            return NotImplemented
+        return ((self.n, self.p, self.seed) == (other.n, other.p, other.seed)
+                and np.array_equal(self.entries, other.entries))
 
     def tensor(self) -> np.ndarray:
         """Multi-index view of the flat entries."""

@@ -44,9 +44,10 @@ class TestGridParsing:
 class TestParseConfig:
     def test_critical_defaults(self):
         cfg = parse_config(["critical", "--p", "3"])
-        assert cfg == RunConfig(
-            command="critical", p=3, seed=0, tolerances={"tol": 1e-13}, options={}
-        )
+        assert cfg == RunConfig(command="critical", p=3, seed=0, tolerances={}, options={})
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["critical", "--p", "3", "--tol", "1e-7"])
+        assert exc.value.code == 2
 
     def test_sweep_grid(self):
         cfg = parse_config(["sweep", "--p", "3", "--beta", "0:5:0.01"])

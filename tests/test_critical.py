@@ -14,6 +14,7 @@ from pspin.critical import (
     solve_qc,
 )
 from pspin.free_energy import overlap_polynomial, t_pm
+from pspin.roots import BracketError, bisect_secant
 
 from oracles import bisect, p2_matching_residual_highprec, sign_change_intervals
 
@@ -89,9 +90,28 @@ class TestSolveQc:
         with pytest.raises(ValueError):
             solve_qc(2)
 
-    def test_rejects_loose_tol(self):
-        with pytest.raises(ValueError):
-            solve_qc(3, tol=1e-3)
+
+class TestBisectSecant:
+    def test_rejects_interval_without_sign_change(self):
+        with pytest.raises(BracketError):
+            bisect_secant(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_exact_zero_endpoint_returned_as_is(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.25
+
+        assert bisect_secant(f, 0.25, 1.0) == 0.25
+        assert bisect_secant(f, -1.0, 0.25) == 0.25
+        assert calls == [0.25, 1.0, -1.0, 0.25]  # endpoints only, no bisection
+
+    def test_cubic_root_within_bracket_tol(self):
+        root = 2.0 ** (1.0 / 3.0)
+        for tol in (1e-13, 1e-15):
+            x = bisect_secant(lambda t: t**3 - 2.0, 0.0, 3.0, bracket_tol=tol)
+            assert abs(x - root) <= tol
 
 
 class TestSolveCritical:

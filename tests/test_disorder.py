@@ -153,11 +153,18 @@ class TestHamiltonian:
         clone = copy.deepcopy(J)
         assert "fold" in vars(clone) and clone.fold[0][1] is not J.fold[0][1]
         assert J == DisorderTensor(J.n, J.p, J.entries, J.seed)
+        assert (clone == J) is True
         assert "fold" not in repr(J)
         path = tmp_path / "disorder.bin"
         save_disorder(J, str(path))
         assert path.stat().st_size == 16 + 8 * J.n**J.p
-        assert "fold" not in vars(load_disorder(str(path)))
+        loaded = load_disorder(str(path))
+        assert "fold" not in vars(loaded)
+        assert (loaded == J) is False and loaded.seed is None  # same couplings, no seed
+        assert np.array_equal(loaded.entries, J.entries)
+        changed = J.entries.copy()
+        changed[5] += 1.0
+        assert DisorderTensor(J.n, J.p, changed, J.seed) != J
 
     def test_dimension_mismatch(self):
         J = sample_disorder(6, 3, seed=0)

@@ -1,112 +1,78 @@
-"""Mixture polynomial layer: evaluation, derivatives, overlap shift."""
+"""The x^p covariance layer: derivatives, the overlap-shifted total, e_inf."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pspin.mixtures import (
-    Mixture,
-    e_infinity,
-    eval_nu,
-    eval_nu_derivs,
-    onsager_term,
-    shift_mixture,
-    shifted_total,
-)
+from pspin.free_energy import tap_value
+from pspin.mixtures import e_infinity, eval_nu_derivs, shifted_total
 
 from oracles import central_difference, shifted_total_highprec
 
 
-class TestMixtureType:
-    def test_pure_structure(self):
-        m = Mixture.pure(3)
-        assert m.coefficients == ((3, 1.0),)
-        assert m.degree_max == 3
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            Mixture(((1, 1.0),))
-        with pytest.raises(ValueError):
-            Mixture(((2, -0.5),))
-        with pytest.raises(ValueError):
-            Mixture(((2, 0.0), (3, 0.0)))
-
-    def test_nu_at_one_is_total_weight(self):
-        m = Mixture(((2, 0.25), (4, 0.5), (7, 0.125)))
-        assert eval_nu(m, 1.0) == pytest.approx(0.875, rel=1e-15)
-
-
 class TestEvaluation:
     def test_pure_p3_values(self):
-        m = Mixture.pure(3)
-        assert eval_nu(m, 1.0) == 1.0
-        assert eval_nu(m, 0.5) == 0.125
+        assert eval_nu_derivs(3, 1.0) == (1.0, 3.0, 6.0)
+        assert eval_nu_derivs(3, 0.5)[0] == 0.125
 
     def test_pure_p2_even(self):
-        assert eval_nu(Mixture.pure(2), -1.0) == 1.0
+        assert eval_nu_derivs(2, -1.0) == (1.0, -2.0, 2.0)
 
     def test_derivative_triple_p3(self):
-        assert eval_nu_derivs(Mixture.pure(3), 0.5) == (0.125, 0.75, 3.0)
+        assert eval_nu_derivs(3, 0.5) == (0.125, 0.75, 3.0)
 
     def test_derivative_triple_p2_at_zero(self):
-        assert eval_nu_derivs(Mixture.pure(2), 0.0) == (0.0, 0.0, 2.0)
+        assert eval_nu_derivs(2, 0.0) == (0.0, 0.0, 2.0)
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        mixtures = [Mixture.pure(p) for p in (2, 3, 5, 11)]
-        mixtures.append(Mixture(((2, 0.3), (3, 0.5), (8, 0.2))))
-        for m in mixtures:
+        for p in (2, 3, 5, 11):
             for x in rng.uniform(0.05, 0.95, size=5):
-                nu, nu1, nu2 = eval_nu_derivs(m, x)
-                assert nu == pytest.approx(eval_nu(m, x), rel=1e-15)
-                fd1 = central_difference(lambda t: eval_nu(m, t), x)
-                fd2 = central_difference(lambda t: eval_nu_derivs(m, t)[1], x)
+                nu, nu1, nu2 = eval_nu_derivs(p, x)
+                assert nu == pytest.approx(x**p, rel=1e-15)
+                fd1 = central_difference(lambda t: t**p, x)
+                fd2 = central_difference(lambda t: eval_nu_derivs(p, t)[1], x)
                 assert nu1 == pytest.approx(fd1, rel=1e-6)
                 assert nu2 == pytest.approx(fd2, rel=1e-6)
 
 
 class TestShift:
     def test_identity_shift_at_zero(self):
-        s = shift_mixture(3, 0.0)
-        assert s.alpha_sq == (0.0, 1.0)
-
-    def test_p3_half_weights(self):
-        s = shift_mixture(3, 0.5)
-        assert s.alpha_sq[0] == pytest.approx(0.375, rel=1e-15)  # C(3,2)/4 * 1/2
-        assert s.alpha_sq[1] == pytest.approx(0.125, rel=1e-15)
+        # nothing is conditioned at q = 0: the total is nu(1) = 1
+        for p in (2, 3, 7, 16):
+            assert shifted_total(p, 0.0) == 1.0
 
     def test_p3_half_total(self):
-        assert shift_mixture(3, 0.5).total == pytest.approx(0.5, rel=1e-14)
         assert shifted_total(3, 0.5) == pytest.approx(1 - 0.125 - 0.75 * 0.5, rel=1e-14)
 
     def test_rejects_bad_overlap(self):
         with pytest.raises(ValueError):
-            shift_mixture(3, 1.0)
+            shifted_total(3, 1.0)
         with pytest.raises(ValueError):
-            shift_mixture(3, -0.01)
+            shifted_total(3, -0.01)
 
     def test_weight_sum_identity_on_grid(self):
         """sum alpha_k^2 = nu(1) - nu(q) - nu'(q)(1-q), rel 1e-12, p in [2,16]."""
         grid = np.arange(0.0, 1.0, 1e-3)
         for p in range(2, 17):
             for q in grid:
-                s = shift_mixture(p, q)
-                closed = shifted_total(p, q)
-                assert s.total == pytest.approx(closed, rel=1e-12, abs=1e-300)
+                weights = [math.comb(p, k) * (1 - q) ** k * q ** (p - k) for k in range(2, p + 1)]
+                assert shifted_total(p, q) == pytest.approx(math.fsum(weights), rel=1e-12, abs=1e-300)
 
     def test_shifted_total_against_highprec(self):
-        for p in (2, 3, 8, 16):
-            for q in (0.0, 0.1, 0.5, 0.9, 0.999):
+        """rel 1e-13 against mpmath, p in [2,16], q on a 1e-3 grid."""
+        grid = np.concatenate([np.arange(0.0, 1.0, 1e-3), [0.0, 0.1, 0.5, 0.9, 0.999]])
+        for p in range(2, 17):
+            for q in grid:
                 ref = shifted_total_highprec(p, q)
                 assert shifted_total(p, q) == pytest.approx(ref, rel=1e-13, abs=1e-300)
-                assert shift_mixture(p, q).total == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     def test_nonnegative_weights_everywhere(self):
+        # a sum of nonnegative binomial weights C(p,k)(1-q)^k q^(p-k), k >= 2
         grid = np.arange(0.0, 1.0, 1e-3)
         for p in (2, 3, 7, 16):
-            for q in grid:
-                assert all(a >= 0.0 for a in shift_mixture(p, q).alpha_sq)
+            assert all(shifted_total(p, q) >= 0.0 for q in grid)
 
     def test_total_decreases_in_q(self):
         # near q=0 the drop is O(q^(p-1)), below double resolution for large p,
@@ -116,11 +82,6 @@ class TestShift:
             vals = [shifted_total(p, q) for q in grid]
             assert all(b <= a + 4e-16 for a, b in zip(vals, vals[1:]))
             assert vals[-1] < vals[0]
-
-    def test_to_mixture_round_trip(self):
-        s = shift_mixture(4, 0.3)
-        m = s.to_mixture()
-        assert eval_nu(m, 1.0) == pytest.approx(s.total, rel=1e-14)
 
 
 class TestScalars:
@@ -134,10 +95,12 @@ class TestScalars:
         assert vals[-1] < 2.0
 
     def test_onsager_values(self):
-        assert onsager_term(3, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)  # beta^2/2 * nu(1)
-        assert onsager_term(3, 0.5, 1.0) == pytest.approx(0.25, rel=1e-14)
-        assert onsager_term(3, 0.5, 0.0) == 0.0
+        # at e_star = 0 the TAP value is log(1-q)/2 + beta^2/2 * shifted total
+        assert tap_value(3, 2.0, 0.0, 0.0) == pytest.approx(2.0, rel=1e-15)  # beta^2/2 * nu(1)
+        half_log = 0.5 * math.log(0.5)
+        assert tap_value(3, 1.0, 0.0, 0.5) == pytest.approx(half_log + 0.25, rel=1e-14)
+        assert tap_value(3, 0.0, 0.0, 0.5) == half_log
 
     def test_onsager_rejects_q_at_one(self):
         with pytest.raises(ValueError):
-            onsager_term(3, 1.0, 1.0)
+            shifted_total(3, 1.0)
