@@ -43,9 +43,6 @@ from .simulator import (
     thermo_integration,
 )
 
-COMMANDS = ("critical", "sweep", "gstate", "mc-verify", "probe", "thermo")
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -53,7 +50,6 @@ class RunConfig:
     beta_grid: list[float] | None = None
     n: int | None = None
     seed: int = 0
-    tolerances: dict[str, float] = field(default_factory=dict)
     output_path: str | None = None
     format: str = "csv"
     options: dict = field(default_factory=dict)
@@ -197,13 +193,10 @@ def parse_config(argv: list[str]) -> RunConfig:
     if n is not None and n < 2:
         parser.error(f"--n must be >= 2, got {n}")
 
-    tolerances = {}
-    if getattr(ns, "tol", None) is not None:
-        if ns.tol <= 0:
-            parser.error("--tol must be positive")
-        tolerances["tol"] = ns.tol
+    if ns.command == "gstate" and ns.tol <= 0:
+        parser.error("--tol must be positive")
 
-    skip = {"command", "config", "p", "seed", "output", "format", "n", "tol", "beta"}
+    skip = {"command", "config", "p", "seed", "output", "format", "n", "beta"}
     options = {k: v for k, v in vars(ns).items() if k not in skip}
     if ns.command == "probe":
         options["beta"] = ns.beta
@@ -214,7 +207,6 @@ def parse_config(argv: list[str]) -> RunConfig:
         beta_grid=beta_grid,
         n=n,
         seed=seed,
-        tolerances=tolerances,
         output_path=ns.output,
         format=ns.format,
         options=options,
@@ -289,7 +281,6 @@ def _meta(config: RunConfig) -> dict:
         "n": config.n,
         "seed": config.seed,
         "beta_grid": config.beta_grid,
-        "tolerances": config.tolerances,
         "format": config.format,
         "options": {k: v for k, v in config.options.items() if v is not None},
     }
@@ -311,7 +302,7 @@ def _get_disorder(config: RunConfig) -> tuple[DisorderTensor, dict]:
     return J, {"source": "seed", "seed": config.seed}
 
 
-def _run_critical(config: RunConfig) -> list[dict]:
+def _run_critical(config: RunConfig) -> tuple[list[dict], dict]:
     cp = solve_critical(config.p)
     if config.p >= 3:
         res = residuals_prop(config.p, cp.beta_c, cp.q_c, cp.e_star)
@@ -335,10 +326,10 @@ def _run_critical(config: RunConfig) -> list[dict]:
             "r_IIb": r_iib,
             "residual_p2": residual_p2,
         }
-    ]
+    ], {}
 
 
-def _run_sweep(config: RunConfig) -> list[dict]:
+def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
     grid = list(config.beta_grid)
     beta_c = solve_critical(config.p).beta_c
     if grid[0] < beta_c < grid[-1] and beta_c not in grid:
@@ -352,7 +343,7 @@ def _run_sweep(config: RunConfig) -> list[dict]:
             "branch": s.branch,
         }
         for s in fe_sweep(config.p, grid)
-    ]
+    ], {}
 
 
 def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
@@ -361,7 +352,7 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
         J,
         restarts=config.options["restarts"],
         max_iters=config.options["max_iters"],
-        tol=config.tolerances.get("tol", 1e-7),
+        tol=config.options["tol"],
         seed=config.seed,
     )
     best = int(np.argmax(result.restart_energies))
@@ -388,7 +379,7 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, extra
 
 
-def _run_mc_verify(config: RunConfig) -> list[dict]:
+def _run_mc_verify(config: RunConfig) -> tuple[list[dict], dict]:
     n, p = config.n, config.p
     root = np.sqrt(float(n))
     e1 = np.zeros(n)
@@ -420,7 +411,7 @@ def _run_mc_verify(config: RunConfig) -> list[dict]:
                 "z": None,
             }
         )
-    return rows
+    return rows, {}
 
 
 def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
@@ -484,27 +475,26 @@ def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, extra
 
 
+# each runner returns its rows and the entries it adds to the meta block
+RUNNERS = {
+    "critical": _run_critical,
+    "sweep": _run_sweep,
+    "gstate": _run_gstate,
+    "mc-verify": _run_mc_verify,
+    "thermo": _run_thermo,
+    "probe": _run_probe,
+}
+COMMANDS = tuple(RUNNERS)
+
+
 def run(config: RunConfig) -> int:
     """Execute a parsed configuration; returns the process exit code."""
     meta = _meta(config)
     try:
-        if config.command == "critical":
-            records = _run_critical(config)
-        elif config.command == "sweep":
-            records = _run_sweep(config)
-        elif config.command == "gstate":
-            records, extra = _run_gstate(config)
-            meta.update(extra)
-        elif config.command == "mc-verify":
-            records = _run_mc_verify(config)
-        elif config.command == "thermo":
-            records, extra = _run_thermo(config)
-            meta.update(extra)
-        elif config.command == "probe":
-            records, extra = _run_probe(config)
-            meta.update(extra)
-        else:
+        if config.command not in RUNNERS:
             raise ValueError(f"unknown command {config.command!r}")
+        records, extra = RUNNERS[config.command](config)
+        meta.update(extra)
         emit(records, meta, config.format, config.output_path)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"pspin {config.command}: {exc}", file=sys.stderr)

@@ -17,13 +17,16 @@ def eval_nu_derivs(p: int, q: float) -> tuple[float, float, float]:
 def shifted_total(p: int, q: float) -> float:
     """nu(1) - nu(q) - nu'(q)(1-q) of nu(x) = x^p.
 
-    Uses the factored form (1-q) * sum_{j<p} (q^j - q^(p-1)), which avoids the
-    catastrophic cancellation of the naive expression as q -> 1.
+    Uses the factored form (1-q) * sum_{j<p-1} (q^j - q^(p-1)) with each term
+    written as -q^j expm1((p-1-j) log q), which avoids the cancellation of
+    both the naive expression and the differences q^j - q^(p-1) as q -> 1.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"overlap q must lie in [0, 1), got {q}")
-    qpm1 = q ** (p - 1)
-    return (1.0 - q) * math.fsum(q**j - qpm1 for j in range(p))
+    if q == 0.0:
+        return 1.0  # log q is -inf: only nu(1) = 1 is left
+    log_q = math.log(q)
+    return (1.0 - q) * math.fsum(-(q**j) * math.expm1((p - 1 - j) * log_q) for j in range(p - 1))
 
 
 def e_infinity(p: int) -> float:

@@ -22,7 +22,6 @@ from .mcmc import (
     ThermoPoint,
     batch_means_stderr,
     default_ladder,
-    mcmc_step,
     overlap_probe,
     split_rhat,
     tempering_sweep,
@@ -48,7 +47,6 @@ __all__ = [
     "ground_state_search",
     "hamiltonian",
     "load_disorder",
-    "mcmc_step",
     "overlap",
     "overlap_probe",
     "project_to_sphere",

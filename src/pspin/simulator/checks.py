@@ -22,6 +22,9 @@ from .disorder import (
 )
 
 _BLOCK_ENTRIES = 2**22  # couplings drawn per block, unless one draw alone is larger
+_FD_DEGREES = (2, 3, 4)  # p of the gradient trials, in turn
+_FD_LARGEST_N = 16  # each trial draws n uniformly from 4 to this
+_FD_STEP = 1e-5  # central-difference step
 
 
 @dataclass(frozen=True)
@@ -104,27 +107,21 @@ class GradientCheckRow:
     rel_error: float
 
 
-def gradient_fd_check(
-    trials: int = 20,
-    n_max: int = 16,
-    ps: tuple[int, ...] = (2, 3, 4),
-    seed: int = 0,
-    step: float = 1e-5,
-) -> list[GradientCheckRow]:
+def gradient_fd_check(trials: int = 20, seed: int = 0) -> list[GradientCheckRow]:
     """Relative error of the analytic gradient against central differences."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFD)))
     rows = []
     for t in range(trials):
-        p = ps[t % len(ps)]
-        n = int(rng.integers(4, n_max + 1))
+        p = _FD_DEGREES[t % len(_FD_DEGREES)]
+        n = int(rng.integers(4, _FD_LARGEST_N + 1))
         J = sample_disorder(n, p, seed=int(rng.integers(0, 2**31)))
         sigma = random_configuration(n, rng)
         g = gradient(J, sigma)
         fd = np.empty(n)
         for i in range(n):
             e = np.zeros(n)
-            e[i] = step
-            fd[i] = (hamiltonian(J, sigma + e) - hamiltonian(J, sigma - e)) / (2 * step)
+            e[i] = _FD_STEP
+            fd[i] = (hamiltonian(J, sigma + e) - hamiltonian(J, sigma - e)) / (2 * _FD_STEP)
         scale = max(float(np.max(np.abs(g))), 1e-30)
         rows.append(
             GradientCheckRow(

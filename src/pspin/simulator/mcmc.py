@@ -19,12 +19,12 @@ that margin, so the configurations and the counters match those of chains run
 on ``hamiltonian``; recorded energies, and the free energies integrated from
 them, may differ from such runs in their last digits.
 
-Proposal scales adapt toward a 30-50% acceptance window during burn-in and
-must be frozen before measurement so the kernels stay stationary.  Each
-replica draws all its randomness from one generator of its own seed, in
-blocks of a whole ladder: starting points, proposal noise, accept uniforms
-and swap uniforms.  A replica therefore follows the draws of a lone ladder
-with that seed, and trajectories are reproducible bit for bit.
+Proposal scales start at 1 and adapt toward a 30-50% acceptance window
+during burn-in; they must be frozen before measurement so the kernels stay
+stationary.  Each replica draws all its randomness from one generator of its
+own seed, in blocks of a whole ladder: starting points, proposal noise,
+accept uniforms and swap uniforms.  A replica therefore follows the draws of
+a lone ladder with that seed, and trajectories are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .disorder import DisorderTensor, folded_hamiltonian
 ADAPT_WINDOW = 50
 ADAPT_LOW, ADAPT_HIGH = 0.30, 0.50
 UNEQUILIBRATED_ACCEPTANCE = 0.01
+STDERR_BATCHES = 20  # batch means per standard error
 RHAT_MAX = 1.05  # split-R-hat above this flags replicas that disagree
 
 
@@ -47,17 +48,11 @@ class TemperingEnsemble:
     ``seed`` is one seed for a single ladder, whose configs are (rungs, n)
     and whose energies, deltas and counters are (rungs,); or a list of k
     seeds for k replica ladders, which gives every array a leading axis of
-    length k.
+    length k.  Every chain starts at a uniform point of the sphere with
+    proposal scale 1, and every chain takes each Metropolis step.
     """
 
-    def __init__(
-        self,
-        disorder: DisorderTensor,
-        betas,
-        seed: int | np.random.SeedSequence | list,
-        proposal_scale: float = 1.0,
-        steps_per_sweep: int | None = None,
-    ):
+    def __init__(self, disorder: DisorderTensor, betas, seed: int | np.random.SeedSequence | list):
         betas = np.asarray(betas, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta ladder must be a nonempty 1-d sequence")
@@ -77,13 +72,11 @@ class TemperingEnsemble:
         configs = self._draw("standard_normal", np.empty((len(seeds), betas.size, n)))
         self.configs = configs * (np.sqrt(n) / np.linalg.norm(configs, axis=-1, keepdims=True))
         self.energies = folded_hamiltonian(disorder, self.configs.reshape(-1, n)).reshape(shape)
-        self.deltas = np.full(shape, float(proposal_scale))
-        self.steps_per_sweep = steps_per_sweep if steps_per_sweep is not None else n
+        self.deltas = np.ones(shape)
         self.adapting = True
 
-        self._steps = np.zeros(shape, dtype=np.int64)
+        self._steps = 0  # Metropolis steps, the same for every chain
         self._accepts = np.zeros(shape, dtype=np.int64)
-        self._window_steps = 0  # steps in the adaptation window, the same for every chain
         self._window_accepts = np.zeros(shape, dtype=np.int64)
         self._noise = np.empty((len(seeds), betas.size, n))  # one step's draws, per replica
         self._uniforms = np.empty((len(seeds), betas.size))
@@ -108,8 +101,9 @@ class TemperingEnsemble:
         self.adapting = False
 
     def acceptance_rates(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(self._steps > 0, self._accepts / np.maximum(self._steps, 1), np.nan)
+        if self._steps == 0:
+            return np.full(self._accepts.shape, np.nan)
+        return self._accepts / self._steps
 
     def swap_rates(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):
@@ -128,35 +122,30 @@ class TemperingEnsemble:
             getattr(rng, method)(out=block)
         return out.reshape(self._replica_shape + out.shape[1:])
 
-    def _metropolis(self, rungs) -> np.ndarray:
-        """One proposal on every replica and rung; only where ``rungs`` holds may it move.
+    def _step(self) -> None:
+        """One Metropolis proposal on every replica and rung.
 
-        Returns the accept flags.  Noise and uniforms are drawn for every rung
-        whatever the mask, so the streams advance the same way.
+        Counts the accepts, and while adapting rescales every chain's proposal
+        at the end of each window of ``ADAPT_WINDOW`` steps.
         """
         n = self.disorder.n
         cand = self.configs + self.deltas[..., None] * self._draw("standard_normal", self._noise)
         cand *= (np.sqrt(n) / np.linalg.norm(cand, axis=-1))[..., None]
         h_cand = folded_hamiltonian(self.disorder, cand.reshape(-1, n)).reshape(self.energies.shape)
         logu = np.log(self._draw("random", self._uniforms))
-        accepted = rungs & (logu < self.betas * (h_cand - self.energies))
+        accepted = logu < self.betas * (h_cand - self.energies)
         np.copyto(self.configs, cand, where=accepted[..., None])
         np.copyto(self.energies, h_cand, where=accepted)
 
-        self._steps += rungs
+        self._steps += 1
         self._accepts += accepted
-        return accepted
-
-    def _adapt(self, accepted: np.ndarray) -> None:
-        """Count a full step's accepts in the window; rescale every chain when it is full."""
-        self._window_steps += 1
         self._window_accepts += accepted
-        if self.adapting and self._window_steps >= ADAPT_WINDOW:
-            rates = self._window_accepts / self._window_steps
-            self.deltas[rates < ADAPT_LOW] *= 0.8
-            self.deltas[rates > ADAPT_HIGH] *= 1.25
-            np.clip(self.deltas, 1e-8, 1e2, out=self.deltas)
-            self._window_steps = 0
+        if self._steps % ADAPT_WINDOW == 0:
+            if self.adapting:
+                rates = self._window_accepts / ADAPT_WINDOW
+                self.deltas[rates < ADAPT_LOW] *= 0.8
+                self.deltas[rates > ADAPT_HIGH] *= 1.25
+                np.clip(self.deltas, 1e-8, 1e2, out=self.deltas)
             self._window_accepts[...] = 0
 
     def _swap_phase(self, parity: int) -> None:
@@ -174,32 +163,19 @@ class TemperingEnsemble:
         self.energies = np.take_along_axis(e, perm, axis=-1)
 
 
-def mcmc_step(ensemble: TemperingEnsemble, rung: int) -> bool | np.ndarray:
-    """One Metropolis proposal on a single rung; True if accepted (k flags for k replicas).
-
-    This is the ensemble's step under a mask: only ``rung`` moves and is counted
-    in the acceptance rates, though energies are evaluated for every chain.  It
-    leaves the adaptation window and the proposal scales alone.
-    """
-    if not 0 <= rung < ensemble.n_rungs:
-        raise ValueError(f"rung {rung} out of range [0, {ensemble.n_rungs})")
-    accepted = ensemble._metropolis(np.arange(ensemble.n_rungs) == rung)[..., rung]
-    return bool(accepted) if accepted.ndim == 0 else accepted
-
-
 def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = True) -> None:
     """Alternate within-rung sweeps with adjacent-rung swap proposals.
 
-    A sweep is ``steps_per_sweep`` whole-vector proposals per rung followed by
-    one swap phase over adjacent pairs of alternating parity.  When ``record``
-    is set, each rung's H/n is appended to the ensemble history after every
-    sweep.
+    A sweep is n whole-vector Metropolis steps, each proposing on every
+    replica and rung at once, followed by one swap phase over adjacent pairs
+    of alternating parity.  When ``record`` is set, each rung's H/n is
+    appended to the ensemble history after every sweep.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     for _ in range(sweeps):
-        for _ in range(ensemble.steps_per_sweep):
-            ensemble._adapt(ensemble._metropolis(True))
+        for _ in range(ensemble.disorder.n):
+            ensemble._step()
         if ensemble.n_rungs > 1:
             ensemble._swap_phase(ensemble._sweep_index % 2)
         ensemble._sweep_index += 1
@@ -207,12 +183,12 @@ def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = Tru
             ensemble._records.append(ensemble.energies / ensemble.disorder.n)
 
 
-def batch_means_stderr(series, n_batches: int = 20) -> float:
-    """Standard error of the mean from batch means (autocorrelation-tolerant)."""
+def batch_means_stderr(series) -> float:
+    """Standard error of the mean from ``STDERR_BATCHES`` batch means (autocorrelation-tolerant)."""
     x = np.asarray(series, dtype=float)
     if x.size < 4:
         return float("nan")
-    nb = min(n_batches, x.size // 2)
+    nb = min(STDERR_BATCHES, x.size // 2)
     usable = (x.size // nb) * nb
     batches = x[:usable].reshape(nb, -1).mean(axis=1)
     return float(batches.std(ddof=1) / np.sqrt(nb))
@@ -325,12 +301,14 @@ def overlap_probe(
 ) -> OverlapHistogram:
     """Distribution of pairwise overlaps between k independent replicas.
 
-    Each replica is an independent copy of the ensemble's ladder (its own
-    seed, same disorder); all k advance together on one replica-axis
-    ensemble.  After burn-in they advance one sweep at a time and the
-    overlaps of all pairs of configurations at rung ``beta_index`` are
-    recorded.  Tempering within each replica is what gives the cold rung a
-    chance to equilibrate.
+    Only the ensemble's ``disorder``, ``betas`` and ``seed`` are read: its
+    configurations, proposal scales and counters play no part.  Each replica
+    is a fresh ladder on that disorder and those betas, with its own seed
+    (derived from ``seed`` unless ``replica_seeds`` are given); all k advance
+    together on one replica-axis ensemble.  After burn-in they advance one
+    sweep at a time and the overlaps of all pairs of configurations at rung
+    ``beta_index`` are recorded.  Tempering within each replica is what gives
+    the cold rung a chance to equilibrate.
 
     The run counts as equilibrated when every replica accepts at least 1% of
     its proposals at the probed rung and the split-R-hat of the rung's
@@ -350,13 +328,7 @@ def overlap_probe(
     if len(replica_seeds) != k:
         raise ValueError(f"need {k} replica seeds, got {len(replica_seeds)}")
 
-    replicas = TemperingEnsemble(
-        ensemble.disorder,
-        ensemble.betas,
-        seed=list(replica_seeds),
-        proposal_scale=float(ensemble.deltas.flat[0]),
-        steps_per_sweep=ensemble.steps_per_sweep,
-    )
+    replicas = TemperingEnsemble(ensemble.disorder, ensemble.betas, seed=list(replica_seeds))
     if burn_in > 0:
         tempering_sweep(replicas, burn_in, record=False)
     replicas.freeze()

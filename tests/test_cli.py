@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from pspin.cli import RunConfig, emit, main, parse_beta_grid, parse_config
+from pspin.cli import COMMANDS, RunConfig, emit, main, parse_beta_grid, parse_config
 
 
 def run_cli(*args):
@@ -44,9 +44,14 @@ class TestGridParsing:
 class TestParseConfig:
     def test_critical_defaults(self):
         cfg = parse_config(["critical", "--p", "3"])
-        assert cfg == RunConfig(command="critical", p=3, seed=0, tolerances={}, options={})
+        assert cfg == RunConfig(command="critical", p=3, seed=0, options={})
         with pytest.raises(SystemExit) as exc:
             parse_config(["critical", "--p", "3", "--tol", "1e-7"])
+        assert exc.value.code == 2
+
+    def test_tol_must_be_positive(self):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["gstate", "--p", "3", "--n", "8", "--tol", "0"])
         assert exc.value.code == 2
 
     def test_sweep_grid(self):
@@ -209,6 +214,27 @@ class TestCommands:
         assert doc["meta"]["best_energy_per_spin"] == max(
             r["energy_per_spin"] for r in doc["rows"]
         )
+
+    def test_gstate_tol_is_an_option(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["gstate", "--p", "3", "--n", "6", "--restarts", "2", "--tol", "1e-6",
+                     "--format", "json", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["options"]["tol"] == 1e-6
+
+    def test_no_meta_has_tolerances(self, tmp_path):
+        small = {
+            "critical": [],
+            "sweep": ["--beta", "0.5,1"],
+            "gstate": ["--n", "4", "--restarts", "1"],
+            "mc-verify": ["--n", "4", "--draws", "1000", "--trials", "1"],
+            "thermo": ["--n", "4", "--rungs", "2", "--sweeps", "2", "--burn-in", "0"],
+            "probe": ["--n", "4", "--k", "2", "--rungs", "2", "--sweeps", "2", "--burn-in", "0"],
+        }
+        assert set(small) == set(COMMANDS)
+        out = tmp_path / "m.json"
+        for command, args in small.items():
+            assert main([command, "--p", "3", *args, "--format", "json", "-o", str(out)]) == 0
+            assert "tolerances" not in json.loads(out.read_text())["meta"], command
 
     def test_mc_verify_rows(self):
         proc = run_cli(

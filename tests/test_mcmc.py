@@ -9,20 +9,20 @@ from pspin.simulator import (
     batch_means_stderr,
     default_ladder,
     hamiltonian,
-    mcmc_step,
     overlap_probe,
     sample_disorder,
     split_rhat,
     tempering_sweep,
     thermo_integration,
 )
+from pspin.simulator.mcmc import ADAPT_WINDOW
 
 from oracles import circle_log_partition
 
 
-def make_ensemble(n=10, p=3, betas=(0.0, 0.4, 0.8), seed=5, **kw):
+def make_ensemble(n=10, p=3, betas=(0.0, 0.4, 0.8), seed=5):
     J = sample_disorder(n, p, seed=123)
-    return TemperingEnsemble(J, np.array(betas), seed=seed, **kw)
+    return TemperingEnsemble(J, np.array(betas), seed=seed)
 
 
 class TestEnsembleBasics:
@@ -67,57 +67,48 @@ class TestEnsembleBasics:
             tempering_sweep(lone, 5)
             np.testing.assert_allclose(stacked.configs[i], lone.configs, rtol=1e-10)
             np.testing.assert_allclose(stacked.history[i], lone.history, rtol=1e-10)
-            assert np.array_equal(stacked._steps[i], lone._steps)
+            assert stacked._steps == lone._steps
+            assert np.array_equal(stacked._accepts[i], lone._accepts)
             assert np.array_equal(stacked._swap_accepts[i], lone._swap_accepts)
 
 
 class TestMetropolisStep:
     def test_beta_zero_always_accepts(self):
         ens = make_ensemble(betas=(0.0, 0.5))
-        assert all(mcmc_step(ens, 0) for _ in range(200))
+        for _ in range(200):
+            ens._step()
+        assert ens._steps == 200 and ens._accepts[0] == 200
 
     def test_sphere_preserved_each_step(self):
         ens = make_ensemble()
         for _ in range(100):
-            mcmc_step(ens, 2)
-            norm = ens.configs[2] @ ens.configs[2]
-            assert norm == pytest.approx(10.0, rel=1e-10)
+            ens._step()
+            np.testing.assert_allclose(np.sum(ens.configs**2, axis=-1), 10.0, rtol=1e-10)
 
     def test_fixed_seed_reproduces_trajectory(self):
         a = make_ensemble(seed=77)
         b = make_ensemble(seed=77)
-        for _ in range(50):
-            mcmc_step(a, 1)
-            mcmc_step(b, 1)
+        for _ in range(120):  # through two adaptation windows
+            a._step()
+            b._step()
         assert np.array_equal(a.configs, b.configs)
         assert np.array_equal(a.energies, b.energies)
+        assert np.array_equal(a.deltas, b.deltas)
 
-    def test_moves_and_counts_only_its_rung(self):
-        ens = make_ensemble(betas=(0.0, 0.4, 0.8))
-        before = ens.configs.copy()
-        moved = [mcmc_step(ens, 1) for _ in range(20)]
-        assert any(moved)
-        assert np.array_equal(ens.configs[[0, 2]], before[[0, 2]])
-        assert not np.array_equal(ens.configs[1], before[1])
-        assert ens._steps.tolist() == [0, 20, 0]
-        assert ens._accepts[1] == sum(moved) and ens._accepts[[0, 2]].tolist() == [0, 0]
-
-    def test_leaves_adaptation_alone(self):
-        ens = make_ensemble(betas=(0.0, 0.5))
-        for _ in range(200):  # every step accepts at beta 0: a full window would rescale
-            mcmc_step(ens, 0)
-        assert ens.deltas.tolist() == [1.0, 1.0]
-
-    def test_rejects_bad_rung(self):
-        ens = make_ensemble()
-        with pytest.raises(ValueError):
-            mcmc_step(ens, 3)
+    def test_window_rescales_every_chain(self):
+        # every step accepts at beta 0, so a full window scales its proposal up
+        ens = make_ensemble(betas=(0.0,))
+        for _ in range(ADAPT_WINDOW - 1):
+            ens._step()
+        assert ens.deltas.tolist() == [1.0]
+        ens._step()
+        assert ens.deltas.tolist() == [1.25]
 
     def test_step_draws_one_block_per_replica(self):
         # each replica's generator gives one (rungs, n) noise block, then one
         # (rungs,) block of uniforms, as calls with a size would
         ens = make_ensemble(seed=[7, 8])
-        mcmc_step(ens, 1)
+        ens._step()
         for seed, rng, noise in zip((7, 8), ens.rngs, ens._noise):
             ref = np.random.default_rng(seed)
             ref.standard_normal((3, 10))  # the starting points
@@ -176,7 +167,7 @@ class TestTemperingSweep:
         monkeypatch.setattr(mcmc, "folded_hamiltonian", hamiltonian)
         plain = run()
         assert np.any(folded.deltas != 1.0)  # the run adapted
-        assert 0 < folded._accepts.sum() < folded._steps.sum()
+        assert 0 < folded._accepts.sum() < folded._steps * folded._accepts.size
         assert np.array_equal(folded.configs, plain.configs)
         assert np.array_equal(folded._accepts, plain._accepts)
         assert np.array_equal(folded._swap_accepts, plain._swap_accepts)
@@ -249,8 +240,9 @@ class TestThermoIntegration:
         J = sample_disorder(8, 2, seed=55)
         means, errs = [], []
         for scale in (0.3, 1.0):
-            ens = TemperingEnsemble(J, [0.0, 1.0], seed=7, proposal_scale=scale)
+            ens = TemperingEnsemble(J, [0.0, 1.0], seed=7)
             ens.adapting = False  # keep the kernel fixed throughout
+            ens.deltas[...] = scale
             tempering_sweep(ens, 500, record=False)
             tempering_sweep(ens, 4000, record=True)
             means.append(np.mean(ens.history[1]))
@@ -349,6 +341,20 @@ class TestOverlapProbe:
         hist = overlap_probe(tmpl, k=2, beta_index=0, sweeps=20, burn_in=5, bins=16)
         assert hist.bin_edges[0] == -1.0 and hist.bin_edges[-1] == 1.0
         assert len(hist.bin_edges) == 17
+
+    def test_reads_only_disorder_betas_and_seed(self):
+        # a template swept 50 times has adapted scales and moved configurations;
+        # the probe's replicas start afresh all the same
+        J = sample_disorder(12, 3, seed=9)
+        swept = TemperingEnsemble(J, [0.0, 0.5, 1.0], seed=2)
+        tempering_sweep(swept, 50)
+        fresh = TemperingEnsemble(J, [0.0, 0.5, 1.0], seed=2)
+        assert np.all(swept.deltas != 1.0)
+        assert not np.array_equal(swept.configs, fresh.configs)
+        a, b = (overlap_probe(t, k=2, beta_index=2, sweeps=30, burn_in=10) for t in (swept, fresh))
+        assert np.array_equal(a.counts, b.counts)
+        assert np.isfinite(a.diagnostics["replica_energy_rhat"])
+        assert a.diagnostics == b.diagnostics
 
     def test_rejects_single_replica(self):
         J = sample_disorder(8, 3, seed=3)

@@ -61,8 +61,10 @@ class TestShift:
                 assert shifted_total(p, q) == pytest.approx(math.fsum(weights), rel=1e-12, abs=1e-300)
 
     def test_shifted_total_against_highprec(self):
-        """rel 1e-13 against mpmath, p in [2,16], q on a 1e-3 grid."""
-        grid = np.concatenate([np.arange(0.0, 1.0, 1e-3), [0.0, 0.1, 0.5, 0.9, 0.999]])
+        """rel 1e-13 against mpmath, p in [2,16], q on a 1e-3 grid and up to 1 - 1e-6."""
+        grid = np.concatenate([
+            np.arange(0.0, 1.0, 1e-3), [0.0, 0.1, 0.5, 0.9, 0.999, 0.9999, 0.99999, 0.999999],
+        ])
         for p in range(2, 17):
             for q in grid:
                 ref = shifted_total_highprec(p, q)
