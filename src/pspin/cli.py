@@ -436,7 +436,7 @@ def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
                 "equilibrated": pt.equilibrated,
             }
         )
-    return rows, {"disorder": source, "ladder": ladder}
+    return rows, {"disorder": source, "ladder": ladder, "sampler": ens.sampler_meta()}
 
 
 def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
@@ -471,6 +471,7 @@ def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
         "pair_count": hist.pair_count,
         "k": hist.k,
         "diagnostics": hist.diagnostics,
+        "sampler": hist.sampler,
     }
     return rows, extra
 

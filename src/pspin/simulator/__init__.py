@@ -5,7 +5,6 @@ from .disorder import (
     DEFAULT_ENTRY_BUDGET,
     DisorderSizeError,
     DisorderTensor,
-    folded_hamiltonian,
     gradient,
     hamiltonian,
     load_disorder,
@@ -14,6 +13,7 @@ from .disorder import (
     random_configuration,
     sample_disorder,
     save_disorder,
+    sym_gradient,
 )
 from .ground_state import GroundStateResult, ground_state_search
 from .mcmc import (
@@ -41,7 +41,6 @@ __all__ = [
     "batch_means_stderr",
     "covariance_check",
     "default_ladder",
-    "folded_hamiltonian",
     "gradient",
     "gradient_fd_check",
     "ground_state_search",
@@ -54,6 +53,7 @@ __all__ = [
     "sample_disorder",
     "save_disorder",
     "split_rhat",
+    "sym_gradient",
     "tempering_sweep",
     "thermo_integration",
 ]

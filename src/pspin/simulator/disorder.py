@@ -7,24 +7,22 @@ configuration sigma on the sphere ||sigma||^2 = n is the full tensor
 contraction scaled by n^(-(p-1)/2); no symmetrization is applied, the sum
 runs over all index tuples.
 
-``hamiltonian`` and ``gradient`` read the raw couplings.  The tempering
-chains take their energies from ``folded_hamiltonian`` instead, through the
-tensor's ``fold``: the couplings of every index tuple added up with those of
-its reorderings that keep the order within each half of the indices, which is
-(p+1)/2^p of the n^p entries at p >= 3.  Both run the same contraction chain,
-on the raw tensor or on the fold's pieces.  Folded energies differ from
-``hamiltonian`` only in the last bits (summation order); the ground-state
-search, whose line search depends on every bit, never builds or uses the fold.
+``hamiltonian`` and ``gradient`` read the raw couplings, and they are all the
+ground-state search uses: its line search depends on every bit.  The
+tempering chains take gradients from ``sym_gradient``, through the tensor's
+``sym``: the couplings averaged over the p! orders of their slots, so that
+p - 1 contractions give the whole gradient.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import product
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -51,7 +49,7 @@ class DisorderTensor:
     sha256: str | None = None  # of the file's bytes, if loaded
 
     def __eq__(self, other):
-        """Same n, p, seed and entries; the file hash and the fold do not count."""
+        """Same n, p, seed and entries; the file hash and ``sym`` do not count."""
         if not isinstance(other, DisorderTensor):
             return NotImplemented
         return ((self.n, self.p, self.seed) == (other.n, other.p, other.seed)
@@ -66,40 +64,19 @@ class DisorderTensor:
         return float(self.n) ** (-(self.p - 1) / 2.0)
 
     @cached_property
-    def fold(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """The couplings summed into floor(p/2) + 1 dense pieces, built on first use.
+    def sym(self) -> np.ndarray:
+        """The couplings averaged over the p! orders of their slots, built on first use.
 
-        The indices split into P = [0, h), h = ceil(n/2), and Q = [h, n).  A
-        piece's layout names the range of each slot: P, Q, or N for all n.
-        Layout P^a N Q^b holds the tuples with b or b + 1 indices in Q, their
-        slots stably reordered so that the P slots come first; for even p the
-        tuples with all p indices in Q have a piece Q^p of their own.  The
-        pieces hold (p+1)/2^p of the n^p entries, so a tempering run at p >= 3
-        holds (1 + (p+1)/2^p) 8 n^p bytes of couplings.  At p = 2 a fold would
-        keep 3/4 of the entries in two pieces, and a Metropolis step on it was
-        slower than on the raw couplings, so the fold is the one raw piece N^2.
-        Kept in the instance's ``__dict__``: not a field, so not compared, not
-        saved, and carried along by ``copy.deepcopy``.
+        The transposed views of the tensor are summed into one buffer, the only
+        n^p entries the build allocates.  Kept in the instance's ``__dict__``:
+        not a field, so not compared, not saved, and carried by ``copy.deepcopy``.
         """
-        n, p, h = self.n, self.p, (self.n + 1) // 2
-        if p == 2:
-            return (("NN", self.tensor()),)
-        layouts = ["P" * (p - 1 - b) + "N" + "Q" * b for b in range(0, p, 2)]
-        if p % 2 == 0:
-            layouts.append("Q" * p)
-        span = {"P": h, "Q": n - h, "N": n}
-        pieces = [np.zeros([span[c] for c in layout]) for layout in layouts]
         T = self.tensor()
-        for in_q in product((False, True), repeat=p):
-            block = T[tuple(slice(h, None) if q else slice(h) for q in in_q)]
-            j = sum(in_q)
-            order = sorted(range(p), key=lambda slot: in_q[slot])  # P slots first, stably
-            region = ()  # all of the piece Q^p
-            if j < p or p % 2:  # the P or the Q part of the N slot, slot p - 1 - 2 (j // 2)
-                half = slice(h, None) if j % 2 else slice(h)
-                region = (slice(None),) * (p - 1 - j + j % 2) + (half,)
-            pieces[j // 2][region] += block.transpose(order)
-        return tuple(zip(layouts, pieces))
+        out = np.zeros_like(T)
+        for order in permutations(range(self.p)):
+            out += T.transpose(order)
+        out /= math.factorial(self.p)
+        return out
 
 
 def sample_disorder(
@@ -152,48 +129,41 @@ def _kr_powers(X: np.ndarray, order: int) -> list[np.ndarray]:
     return powers
 
 
-def _contract(J: DisorderTensor, sigma: np.ndarray, pieces) -> float | np.ndarray:
-    """The energies of ``sigma`` from ``pieces``, (layout, array) pairs as in ``fold``.
+def _contract(J: DisorderTensor, T: np.ndarray, sigma: np.ndarray, slots: int) -> np.ndarray:
+    """``slots`` slots of the (n,) * p tensor ``T`` against each row of ``sigma``.
 
-    For each block of rows, each piece takes one matmul on its first slot and
-    then batched mat-vecs on the others, last slot first, each slot against the
-    P part, the Q part or all of the rows; the pieces' results are then added.
-    No piece is wider than n^(p-1) after its matmul, which sizes the blocks.
+    For each block of rows, one matmul takes slot 1 and batched mat-vecs then
+    take the last remaining slot; the tensor is never copied.  Returns
+    (r, n^(p - slots)); blocks are at most n^(p-1) wide after their matmul.
     """
     n, p, X = J.n, J.p, _rows(J, sigma)
-    half = (n + 1) // 2
     rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
-    h = np.empty(len(X))
+    out = np.empty((len(X), n ** (p - slots)))
     for lo in range(0, len(X), rows):
         x = X[lo:lo + rows]
-        parts = {"P": x[:, :half], "Q": x[:, half:], "N": x}
-        terms = []
-        for layout, piece in pieces:
-            t = parts[layout[0]] @ piece.reshape(len(piece), -1)
-            for slot in layout[:0:-1]:
-                t = t.reshape(len(x), -1, parts[slot].shape[1]) @ parts[slot][:, :, None]
-            terms.append(t.ravel())
-        h[lo:lo + rows] = reduce(np.add, terms)
+        t = x @ T.reshape(n, -1)
+        for _ in range(slots - 1):
+            t = t.reshape(len(x), -1, n) @ x[:, :, None]
+        out[lo:lo + rows] = t.reshape(len(x), -1)
+    return out
+
+
+def hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float | np.ndarray:
+    """Energy n^(-(p-1)/2) sum_t J_t sigma_{t_1} ... sigma_{t_p}: a float for (n,), (r,) for (r, n)."""
+    h = _contract(J, J.tensor(), sigma, J.p)[:, 0]
     h *= J.norm_factor
     return float(h[0]) if sigma.ndim == 1 else h
 
 
-def hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float | np.ndarray:
-    """Energy n^(-(p-1)/2) sum_t J_t sigma_{t_1} ... sigma_{t_p}: a float for (n,), (r,) for (r, n).
+def sym_gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
+    """The energy gradient through ``J.sym``, equal to ``gradient``'s up to rounding.
 
-    One matmul takes slot 1 for a block of rows, then p - 1 batched mat-vecs
-    take the last remaining slot row by row; the tensor is never copied.
+    p n^(-(p-1)/2) times ``J.sym`` against every slot but one: one matmul and
+    p - 2 batched mat-vecs, where ``gradient`` reads the tensor p times.
     """
-    return _contract(J, sigma, (("N" * J.p, J.tensor()),))
-
-
-def folded_hamiltonian(J: DisorderTensor, sigma: np.ndarray) -> float | np.ndarray:
-    """The energy of ``hamiltonian`` through ``J.fold``, equal to it up to rounding.
-
-    The same chain as ``hamiltonian``, run on each piece of the fold, which it
-    builds on first use.
-    """
-    return _contract(J, sigma, J.fold)
+    g = _contract(J, J.sym, sigma, J.p - 1)
+    g *= J.p * J.norm_factor
+    return g.reshape(sigma.shape)
 
 
 def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:

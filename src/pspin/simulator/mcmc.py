@@ -1,30 +1,23 @@
-"""Replica-exchange Metropolis sampling on the sphere.
+"""Replica-exchange geodesic Hamiltonian Monte Carlo on the sphere.
 
 Targets the Gibbs density proportional to exp(beta H(sigma)) on the sphere of
-squared norm n.  A proposal perturbs the whole configuration by an isotropic
-Gaussian of scale delta and renormalizes; that kernel is symmetric, so the
-acceptance ratio is exp(beta (H' - H)).  A ladder of rungs at increasing beta
-alternates within-rung sweeps with adjacent-rung configuration swaps.
+squared norm n.  A move is one geodesic leapfrog step (Byrne and Girolami,
+Scand. J. Stat. 2013): a tangent momentum v is drawn and kicked by half a step
+of beta times the tangent gradient of H, (sigma, v) rotate exactly along their
+great circle for a time epsilon, and v is kicked again.  The map keeps volume
+and is reversible under v -> -v, so the move is accepted with probability
+min(1, exp of the change in beta H - |v|^2 / 2).  A ladder of rungs at
+increasing beta alternates within-rung moves with adjacent-rung swaps.  An
+ensemble is one ladder, or k independent replica ladders on one disorder
+realization stacked along a leading axis; a move takes one ``sym_gradient``
+call for every replica and rung, and each energy follows as sigma . g / p.
 
-An ensemble is one ladder, or k independent replica ladders on one disorder
-realization stacked along a leading axis.  Each Metropolis step proposes on
-every replica and rung at once and evaluates all candidates in one energy
-call; swaps are drawn and applied as arrays too.
-
-Energies come from ``folded_hamiltonian``, which contracts the tensor's
-half-folded couplings (about half the entries at p=3; at p=2 the raw
-couplings) and differs from ``hamiltonian`` only in the last bits.  A
-Metropolis or swap decision could flip only if its uniform draw fell inside
-that margin, so the configurations and the counters match those of chains run
-on ``hamiltonian``; recorded energies, and the free energies integrated from
-them, may differ from such runs in their last digits.
-
-Proposal scales start at 1 and adapt toward a 30-50% acceptance window
-during burn-in; they must be frozen before measurement so the kernels stay
+Step sizes start at 1 / (1 + beta) and adapt toward 60-85% acceptance during
+burn-in; they must be frozen before measurement so the kernels stay
 stationary.  Each replica draws all its randomness from one generator of its
-own seed, in blocks of a whole ladder: starting points, proposal noise,
-accept uniforms and swap uniforms.  A replica therefore follows the draws of
-a lone ladder with that seed, and trajectories are reproducible bit for bit.
+own seed, in blocks of a whole ladder: starting points, momenta, accept
+uniforms and swap uniforms.  A replica therefore follows the draws of a lone
+ladder with that seed, and trajectories are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -33,23 +26,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disorder import DisorderTensor, folded_hamiltonian
+from .disorder import DisorderTensor, sym_gradient
 
 ADAPT_WINDOW = 50
-ADAPT_LOW, ADAPT_HIGH = 0.30, 0.50
+ADAPT_LOW, ADAPT_HIGH = 0.60, 0.85
+SPINS_PER_MOVE, MIN_MOVES = 4, 2  # a sweep is max(MIN_MOVES, n // SPINS_PER_MOVE) moves
 UNEQUILIBRATED_ACCEPTANCE = 0.01
 STDERR_BATCHES = 20  # batch means per standard error
 RHAT_MAX = 1.05  # split-R-hat above this flags replicas that disagree
 
 
-class TemperingEnsemble:
-    """Ladders of Metropolis chains sharing one disorder realization.
+def _energy_gradient(J: DisorderTensor, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and tangent gradients of configurations (..., n); sigma . g = p H."""
+    g = sym_gradient(J, sigma.reshape(-1, J.n)).reshape(sigma.shape)
+    h = np.vecdot(sigma, g) / J.p
+    return h, g - (h * (J.p / J.n))[..., None] * sigma
 
-    ``seed`` is one seed for a single ladder, whose configs are (rungs, n)
-    and whose energies, deltas and counters are (rungs,); or a list of k
-    seeds for k replica ladders, which gives every array a leading axis of
-    length k.  Every chain starts at a uniform point of the sphere with
-    proposal scale 1, and every chain takes each Metropolis step.
+
+def _leapfrog(J: DisorderTensor, sigma, v, grad, betas, eps):
+    """One geodesic leapfrog step of time ``eps`` for exp(beta H) from (sigma, v).
+
+    ``grad`` is the tangent gradient of H at sigma; returns sigma', v' and the
+    energies and tangent gradients at sigma'.
+    """
+    radius = np.sqrt(J.n)
+    kick = (0.5 * betas * eps)[..., None]
+    v = v + kick * grad
+    speed = np.sqrt(np.vecdot(v, v))[..., None]
+    angle = eps[..., None] * speed / radius
+    cos, sin = np.cos(angle), np.sin(angle)
+    moved = sigma * cos + v * (radius * sin / np.maximum(speed, 1e-300))  # v = 0 stays put
+    v = v * cos - sigma * (speed / radius * sin)
+    moved *= radius / np.sqrt(np.vecdot(moved, moved))[..., None]  # rounding compounds at large eps
+    h, g = _energy_gradient(J, moved)
+    return moved, v + kick * g, h, g
+
+
+class TemperingEnsemble:
+    """Ladders of geodesic HMC chains sharing one disorder realization.
+
+    ``seed`` is one seed for a single ladder, whose configs and tangent
+    gradients are (rungs, n) and whose energies, step sizes and counters are
+    (rungs,); or a list of k seeds for k replica ladders, which gives every
+    array a leading axis of length k.  Every chain starts at a uniform point
+    of the sphere with step size 1 / (1 + beta), and takes every move.
     """
 
     def __init__(self, disorder: DisorderTensor, betas, seed: int | np.random.SeedSequence | list):
@@ -71,14 +91,15 @@ class TemperingEnsemble:
 
         configs = self._draw("standard_normal", np.empty((len(seeds), betas.size, n)))
         self.configs = configs * (np.sqrt(n) / np.linalg.norm(configs, axis=-1, keepdims=True))
-        self.energies = folded_hamiltonian(disorder, self.configs.reshape(-1, n)).reshape(shape)
-        self.deltas = np.ones(shape)
+        self.energies, self.grads = _energy_gradient(disorder, self.configs)
+        self.deltas = np.broadcast_to(1.0 / (1.0 + betas), shape).copy()  # step sizes
         self.adapting = True
+        self.moves_per_sweep = max(MIN_MOVES, n // SPINS_PER_MOVE)
 
-        self._steps = 0  # Metropolis steps, the same for every chain
+        self._steps = 0  # moves, the same for every chain
         self._accepts = np.zeros(shape, dtype=np.int64)
         self._window_accepts = np.zeros(shape, dtype=np.int64)
-        self._noise = np.empty((len(seeds), betas.size, n))  # one step's draws, per replica
+        self._noise = np.empty((len(seeds), betas.size, n))  # one move's momenta, per replica
         self._uniforms = np.empty((len(seeds), betas.size))
         pairs = self._replica_shape + (max(betas.size - 1, 1),)
         self._swap_attempts = np.zeros(pairs, dtype=np.int64)
@@ -97,7 +118,7 @@ class TemperingEnsemble:
         return np.moveaxis(records, 0, -1).tolist()
 
     def freeze(self) -> None:
-        """Stop proposal-scale adaptation (call before measuring)."""
+        """Stop step-size adaptation (call before measuring)."""
         self.adapting = False
 
     def acceptance_rates(self) -> np.ndarray:
@@ -113,6 +134,11 @@ class TemperingEnsemble:
                 np.nan,
             )
 
+    def sampler_meta(self) -> dict:
+        """How the chains ran: moves per sweep, each chain's step size and acceptance."""
+        return {"moves_per_sweep": self.moves_per_sweep, "step_size": self.deltas.tolist(),
+                "acceptance": self.acceptance_rates().tolist()}
+
     def _draw(self, method: str, out: np.ndarray) -> np.ndarray:
         """One ``method`` call per replica generator into ``out[i]``; ``out`` under the replica axis.
 
@@ -123,19 +149,20 @@ class TemperingEnsemble:
         return out.reshape(self._replica_shape + out.shape[1:])
 
     def _step(self) -> None:
-        """One Metropolis proposal on every replica and rung.
+        """One geodesic HMC move on every replica and rung.
 
-        Counts the accepts, and while adapting rescales every chain's proposal
-        at the end of each window of ``ADAPT_WINDOW`` steps.
+        Counts the accepts, and while adapting rescales every chain's step
+        size at the end of each window of ``ADAPT_WINDOW`` moves.
         """
-        n = self.disorder.n
-        cand = self.configs + self.deltas[..., None] * self._draw("standard_normal", self._noise)
-        cand *= (np.sqrt(n) / np.linalg.norm(cand, axis=-1))[..., None]
-        h_cand = folded_hamiltonian(self.disorder, cand.reshape(-1, n)).reshape(self.energies.shape)
+        sigma, noise = self.configs, self._draw("standard_normal", self._noise)
+        v = noise - (np.vecdot(sigma, noise) / self.disorder.n)[..., None] * sigma  # tangent
+        cand, w, h, g = _leapfrog(self.disorder, sigma, v, self.grads, self.betas, self.deltas)
         logu = np.log(self._draw("random", self._uniforms))
-        accepted = logu < self.betas * (h_cand - self.energies)
+        kinetic = 0.5 * (np.vecdot(w, w) - np.vecdot(v, v))
+        accepted = logu < self.betas * (h - self.energies) - kinetic
         np.copyto(self.configs, cand, where=accepted[..., None])
-        np.copyto(self.energies, h_cand, where=accepted)
+        np.copyto(self.grads, g, where=accepted[..., None])
+        np.copyto(self.energies, h, where=accepted)
 
         self._steps += 1
         self._accepts += accepted
@@ -160,21 +187,22 @@ class TemperingEnsemble:
         perm[..., i] = np.where(accepted, i + 1, i)
         perm[..., i + 1] = np.where(accepted, i, i + 1)
         self.configs = np.take_along_axis(self.configs, perm[..., None], axis=-2)
+        self.grads = np.take_along_axis(self.grads, perm[..., None], axis=-2)
         self.energies = np.take_along_axis(e, perm, axis=-1)
 
 
 def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = True) -> None:
-    """Alternate within-rung sweeps with adjacent-rung swap proposals.
+    """Alternate within-rung moves with adjacent-rung swap proposals.
 
-    A sweep is n whole-vector Metropolis steps, each proposing on every
-    replica and rung at once, followed by one swap phase over adjacent pairs
-    of alternating parity.  When ``record`` is set, each rung's H/n is
-    appended to the ensemble history after every sweep.
+    A sweep is ``moves_per_sweep`` geodesic HMC moves, each on every replica
+    and rung at once, followed by one swap phase over adjacent pairs of
+    alternating parity.  When ``record`` is set, each rung's H/n is appended
+    to the ensemble history after every sweep.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     for _ in range(sweeps):
-        for _ in range(ensemble.disorder.n):
+        for _ in range(ensemble.moves_per_sweep):
             ensemble._step()
         if ensemble.n_rungs > 1:
             ensemble._swap_phase(ensemble._sweep_index % 2)
@@ -277,6 +305,7 @@ class OverlapHistogram:
     k: int
     pair_count: int
     diagnostics: dict = field(default_factory=dict)
+    sampler: dict = field(default_factory=dict)  # the replicas' ``sampler_meta()``
 
     def modal_overlap(self) -> float:
         """Center of the most populated bin."""
@@ -302,7 +331,7 @@ def overlap_probe(
     """Distribution of pairwise overlaps between k independent replicas.
 
     Only the ensemble's ``disorder``, ``betas`` and ``seed`` are read: its
-    configurations, proposal scales and counters play no part.  Each replica
+    configurations, step sizes and counters play no part.  Each replica
     is a fresh ladder on that disorder and those betas, with its own seed
     (derived from ``seed`` unless ``replica_seeds`` are given); all k advance
     together on one replica-axis ensemble.  After burn-in they advance one
@@ -311,7 +340,7 @@ def overlap_probe(
     the cold rung a chance to equilibrate.
 
     The run counts as equilibrated when every replica accepts at least 1% of
-    its proposals at the probed rung and the split-R-hat of the rung's
+    its moves at the probed rung and the split-R-hat of the rung's
     recorded energies across the k replicas is at most 1.05.
     """
     if k < 2:
@@ -360,7 +389,7 @@ def overlap_probe(
     }
     return OverlapHistogram(
         bin_edges=np.linspace(-1.0, 1.0, bins + 1), counts=counts, k=k, pair_count=vals.size,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics, sampler=replicas.sampler_meta(),
     )
 
 

@@ -93,3 +93,33 @@ def circle_log_partition(M: np.ndarray, beta: float, points: int = 400_000) -> f
     energy = np.einsum("it,ij,jt->t", sigma, M, sigma)
     peak = energy.max()
     return 0.5 * (beta * peak + np.log(np.mean(np.exp(beta * (energy - peak)))))
+
+
+def cs_1rsb(p: int, beta: float, dps: int = 40) -> tuple[float, float]:
+    """(F, q) at the 1RSB stationary point of the Crisanti-Sommers functional.
+
+    For x = m on [0, q) and 1 on [q, 1] (Crisanti and Sommers, Z. Phys. B 87,
+    1992), F = P(q, m) with 2 P = beta^2 (1 - (1 - m) q^p)
+    + log(1 - q + m q) / m + (1 - 1/m) log(1 - q).  The minimum of P on a grid
+    of (q, m) in (0, 1)^2 seeds mpmath's ``findroot`` on dP/dq / (1 - m) = 0
+    and dP/dm = 0 (the factor 1 - m removes the line m = 1, where dP/dq
+    vanishes for every q).  The q grid is uniform in log(1 - q) to reach the
+    overlaps near 1 of large beta.
+    """
+    q = 1.0 - np.logspace(-0.02, -5.0, 60)[:, None]
+    m = np.linspace(0.01, 0.99, 50)[None, :]
+    grid = beta**2 * (1 - (1 - m) * q**p) + np.log(1 - q + m * q) / m + (1 - 1 / m) * np.log(1 - q)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+
+    mp.dps = dps
+    b2 = mpf(beta) ** 2
+
+    def stationarity(q, m):
+        r = 1 - q + m * q
+        return (q / ((1 - q) * r) - b2 * p * q ** (p - 1),
+                b2 * q**p + q / (m * r) + (mp.log(1 - q) - mp.log(r)) / m**2)
+
+    qs, ms = mp.findroot(stationarity, (mpf(q[i, 0]), mpf(m[0, j])))
+    f = (b2 * (1 - (1 - ms) * qs**p) + mp.log(1 - qs + ms * qs) / ms
+         + (1 - 1 / ms) * mp.log(1 - qs)) / 2
+    return float(f), float(qs)

@@ -282,6 +282,25 @@ class TestCommands:
         assert doc["meta"]["ladder"] == default_ladder(1.5, 5, beta_c=beta_c).tolist()
         assert [row["beta"] for row in doc["rows"]] == doc["meta"]["ladder"]
 
+    @pytest.mark.parametrize("n", [6, 13])
+    def test_meta_reports_sampler(self, tmp_path, n):
+        # moves per sweep, and each chain's frozen step size and acceptance:
+        # one per rung for thermo, one per replica and rung for the probe
+        out = tmp_path / "s.json"
+        common = ["--p", "3", "--n", str(n), "--rungs", "3", "--sweeps", "4", "--burn-in", "2",
+                  "--format", "json", "-o", str(out)]
+        for command, extra, shape in (("thermo", [], ()), ("probe", ["--k", "2"], (2,))):
+            assert main([command, *common, *extra]) == 0
+            doc = json.loads(out.read_text())
+            sampler = doc["meta"]["sampler"]
+            assert set(sampler) == {"moves_per_sweep", "step_size", "acceptance"}
+            assert sampler["moves_per_sweep"] == max(2, n // 4)
+            rungs = len(doc["meta"]["ladder"])
+            for key in ("step_size", "acceptance"):
+                assert np.shape(sampler[key]) == shape + (rungs,)
+            assert all(0.0 < e <= 100.0 for e in np.ravel(sampler["step_size"]))
+            assert all(0.0 <= a <= 1.0 for a in np.ravel(sampler["acceptance"]))
+
     def test_disorder_file_cycle(self, tmp_path):
         dpath = tmp_path / "J.bin"
         out1 = tmp_path / "a.csv"

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import struct
 import tracemalloc
 
@@ -11,7 +12,6 @@ import pytest
 from pspin.simulator import (
     DisorderSizeError,
     DisorderTensor,
-    folded_hamiltonian,
     gradient,
     hamiltonian,
     load_disorder,
@@ -20,6 +20,7 @@ from pspin.simulator import (
     random_configuration,
     sample_disorder,
     save_disorder,
+    sym_gradient,
 )
 
 
@@ -106,14 +107,14 @@ class TestHamiltonian:
 
         J = sample_disorder(5, 4, seed=2)
         X = np.random.default_rng(3).standard_normal((7, 5))
-        whole = [energy(J, X) for energy in (hamiltonian, folded_hamiltonian)]
+        whole = [kernel(J, X) for kernel in (hamiltonian, sym_gradient)]
         monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * 5**3)  # blocks of 2 rows
         np.testing.assert_allclose(hamiltonian(J, X), whole[0], rtol=1e-13)
-        np.testing.assert_allclose(folded_hamiltonian(J, X), whole[1], rtol=1e-13)
+        np.testing.assert_allclose(sym_gradient(J, X), whole[1], rtol=1e-13)
 
     def test_kernels_match_einsum_oracle(self):
         # every kernel against the defining sum over index tuples, p = 2..5,
-        # odd and even n down to n = 2 (the folded halves P and Q of size 1)
+        # odd and even n down to n = 2; sigma . g / p of the sym gradient is the energy
         rng = np.random.default_rng(5)
         for p, n in ((2, 9), (3, 7), (4, 6), (5, 5), (2, 2), (3, 2), (4, 3), (5, 2)):
             J = sample_disorder(n, p, seed=3 + p)
@@ -131,35 +132,37 @@ class TestHamiltonian:
             grad = sum(contract(c) for c in axes)
             np.testing.assert_allclose(hamiltonian(J, X), energy, rtol=1e-12)
             np.testing.assert_allclose(hamiltonian(J, stack), contract(X=stack), rtol=1e-12)
-            np.testing.assert_allclose(folded_hamiltonian(J, X), energy, rtol=1e-12)
-            np.testing.assert_allclose(folded_hamiltonian(J, stack), contract(X=stack), rtol=1e-12)
             np.testing.assert_allclose(gradient(J, X), grad, rtol=1e-12)
+            np.testing.assert_allclose(sym_gradient(J, X), grad, rtol=1e-12)
+            sym = sym_gradient(J, stack)
+            np.testing.assert_allclose(sym, sum(contract(c, X=stack) for c in axes), rtol=1e-12)
+            energies = np.sum(stack * sym, axis=1) / p
+            np.testing.assert_allclose(energies, hamiltonian(J, stack), rtol=1e-12)
             for i in range(len(X)):
                 assert hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
-                assert folded_hamiltonian(J, X[i]) == pytest.approx(energy[i], rel=1e-12)
                 np.testing.assert_allclose(gradient(J, X[i]), grad[i], rtol=1e-12)
+                np.testing.assert_allclose(sym_gradient(J, X[i]), grad[i], rtol=1e-12)
 
-    def test_fold_size_and_lifetime(self, tmp_path):
-        # (p + 1) / 2^p of the entries for even n at p >= 3, the raw couplings
-        # at p = 2; built once, carried by copies, left out of equality and of the file
-        J = sample_disorder(8, 2, seed=2)
-        assert [layout for layout, _ in J.fold] == ["NN"]
-        assert np.shares_memory(J.fold[0][1], J.entries)
-        for p, n, layouts in ((3, 8, ["PPN", "NQQ"]), (4, 8, ["PPPN", "PNQQ", "QQQQ"])):
+    def test_sym_is_symmetric_and_kept_off_the_record(self, tmp_path):
+        # every slot transpose of sym is sym; built once, carried by copies,
+        # left out of equality, of repr and of the file
+        for p, n in ((2, 5), (3, 4), (4, 3)):
             J = sample_disorder(n, p, seed=p)
-            assert [layout for layout, _ in J.fold] == layouts
-            assert sum(piece.size for _, piece in J.fold) * 2**p == (p + 1) * n**p
-            assert J.fold is J.fold
+            assert J.sym.shape == (n,) * p
+            for order in itertools.permutations(range(p)):
+                np.testing.assert_allclose(J.sym.transpose(order), J.sym, rtol=0, atol=1e-14)
+            assert J.sym is J.sym
         clone = copy.deepcopy(J)
-        assert "fold" in vars(clone) and clone.fold[0][1] is not J.fold[0][1]
+        assert "sym" in vars(clone) and clone.sym is not J.sym
+        assert np.array_equal(clone.sym, J.sym)
         assert J == DisorderTensor(J.n, J.p, J.entries, J.seed)
         assert (clone == J) is True
-        assert "fold" not in repr(J)
+        assert "sym" not in repr(J)
         path = tmp_path / "disorder.bin"
         save_disorder(J, str(path))
         assert path.stat().st_size == 16 + 8 * J.n**J.p
         loaded = load_disorder(str(path))
-        assert "fold" not in vars(loaded)
+        assert "sym" not in vars(loaded)
         assert (loaded == J) is False and loaded.seed is None  # same couplings, no seed
         assert np.array_equal(loaded.entries, J.entries)
         changed = J.entries.copy()

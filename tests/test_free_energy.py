@@ -18,7 +18,7 @@ from pspin.free_energy import (
 )
 from pspin.mixtures import e_infinity
 
-from oracles import bisect
+from oracles import bisect, cs_1rsb
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,6 +155,19 @@ class TestFreeEnergy:
         expected = np.maximum(0.0, 1.0 - 1.0 / (SQRT2 * grid.clip(min=1e-300)))
         np.testing.assert_allclose(q, expected, atol=1e-12)
         assert np.max(np.abs(np.diff(q))) < 2e-3  # no jump at the seam
+
+
+class TestCrisantiSommers:
+    @pytest.mark.parametrize("p", range(3, 9))
+    def test_tap_value_is_the_1rsb_stationary_point(self, p):
+        # the paper's free energy, obtained without the Parisi formula, is the
+        # Crisanti-Sommers 1RSB value, and q_beta its overlap
+        beta_c = solve_critical(p).beta_c
+        for ratio in (1.05, 1.5, 2.0, 4.0, 10.0):
+            sol = free_energy(p, ratio * beta_c)
+            f, q = cs_1rsb(p, ratio * beta_c)
+            assert sol.free_energy == pytest.approx(f, rel=1e-12, abs=0.0)
+            assert abs(sol.q_beta - q) <= 1e-10
 
 
 class TestTapFunctional:

@@ -22,11 +22,11 @@ class TestTrivialCases:
         res = ground_state_search(J, restarts=3, max_iters=500, seed=1)
         assert res.sigma @ res.sigma == pytest.approx(12.0, rel=1e-10)
 
-    def test_builds_no_fold(self):
-        # the search reads the raw couplings; the fold is the tempering chains'
+    def test_builds_no_sym(self):
+        # the search reads the raw couplings; sym is the tempering chains'
         J = sample_disorder(10, 3, seed=8)
         ground_state_search(J, restarts=2, max_iters=50, seed=2)
-        assert "fold" not in vars(J)
+        assert "sym" not in vars(J)
 
     def test_reported_energy_matches_configuration(self):
         J = sample_disorder(10, 3, seed=8)

@@ -1,4 +1,4 @@
-"""Metropolis/replica-exchange sampler, thermodynamic integration, probe."""
+"""Geodesic HMC/replica-exchange sampler, thermodynamic integration, probe."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from pspin.simulator import (
     tempering_sweep,
     thermo_integration,
 )
-from pspin.simulator.mcmc import ADAPT_WINDOW
+from pspin.simulator.mcmc import ADAPT_WINDOW, _energy_gradient, _leapfrog
 
 from oracles import circle_log_partition
 
@@ -80,10 +80,31 @@ class TestMetropolisStep:
         assert ens._steps == 200 and ens._accepts[0] == 200
 
     def test_sphere_preserved_each_step(self):
-        ens = make_ensemble()
+        ens = make_ensemble(seed=[5, 6])
         for _ in range(100):
             ens._step()
-            np.testing.assert_allclose(np.sum(ens.configs**2, axis=-1), 10.0, rtol=1e-10)
+            np.testing.assert_allclose(np.sum(ens.configs**2, axis=-1), 10.0, rtol=1e-12)
+        exact = hamiltonian(ens.disorder, ens.configs.reshape(-1, 10)).reshape(2, 3)
+        np.testing.assert_allclose(ens.energies, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_leapfrog_reverses_with_negated_momentum(self, p):
+        # kick, rotate, kick from (sigma', -v') lands on (sigma, -v): the map is
+        # its own inverse up to the momentum's sign, which detailed balance needs
+        J = sample_disorder(9, p, seed=p)
+        rng = np.random.default_rng(p)
+        sigma = rng.standard_normal((4, 9))
+        sigma *= 3.0 / np.linalg.norm(sigma, axis=-1, keepdims=True)
+        v = rng.standard_normal((4, 9))
+        v -= np.sum(v * sigma, axis=-1, keepdims=True) / 9.0 * sigma
+        betas, eps = np.array([0.0, 0.5, 1.0, 2.0]), np.array([0.3, 1.0, 0.7, 2.5])
+        _, g = _energy_gradient(J, sigma)
+        moved, w, _, g_moved = _leapfrog(J, sigma, v, g, betas, eps)
+        assert np.max(np.abs(moved - sigma)) > 0.1
+        back, u, h_back, _ = _leapfrog(J, moved, -w, g_moved, betas, eps)
+        np.testing.assert_allclose(back, sigma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, -v, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h_back, hamiltonian(J, sigma), rtol=1e-12)
 
     def test_fixed_seed_reproduces_trajectory(self):
         a = make_ensemble(seed=77)
@@ -96,7 +117,7 @@ class TestMetropolisStep:
         assert np.array_equal(a.deltas, b.deltas)
 
     def test_window_rescales_every_chain(self):
-        # every step accepts at beta 0, so a full window scales its proposal up
+        # every move accepts at beta 0, so a full window scales its step up
         ens = make_ensemble(betas=(0.0,))
         for _ in range(ADAPT_WINDOW - 1):
             ens._step()
@@ -105,8 +126,8 @@ class TestMetropolisStep:
         assert ens.deltas.tolist() == [1.25]
 
     def test_step_draws_one_block_per_replica(self):
-        # each replica's generator gives one (rungs, n) noise block, then one
-        # (rungs,) block of uniforms, as calls with a size would
+        # each replica's generator gives one (rungs, n) block of momenta, then
+        # one (rungs,) block of uniforms, as calls with a size would
         ens = make_ensemble(seed=[7, 8])
         ens._step()
         for seed, rng, noise in zip((7, 8), ens.rngs, ens._noise):
@@ -149,30 +170,6 @@ class TestTemperingSweep:
         tempering_sweep(b, 25)
         assert np.array_equal(a.configs, b.configs)
         assert a.history == b.history
-
-    @pytest.mark.parametrize("p", [3, 4])
-    def test_fold_keeps_every_decision(self, p, monkeypatch):
-        # folded energies differ from hamiltonian's in the last bits only, which
-        # no accept, swap or rescaling decision of an adapting run resolves
-        from pspin.simulator import mcmc
-
-        J = sample_disorder(12, p, seed=40 + p)
-
-        def run():
-            ens = TemperingEnsemble(J, default_ladder(1.5, 6), seed=[3, 4])
-            tempering_sweep(ens, 60)
-            return ens
-
-        folded = run()
-        monkeypatch.setattr(mcmc, "folded_hamiltonian", hamiltonian)
-        plain = run()
-        assert np.any(folded.deltas != 1.0)  # the run adapted
-        assert 0 < folded._accepts.sum() < folded._steps * folded._accepts.size
-        assert np.array_equal(folded.configs, plain.configs)
-        assert np.array_equal(folded._accepts, plain._accepts)
-        assert np.array_equal(folded._swap_accepts, plain._swap_accepts)
-        assert np.array_equal(folded.deltas, plain.deltas)
-        np.testing.assert_allclose(folded.energies, plain.energies, rtol=1e-12, atol=1e-12)
 
     def test_adaptation_freezes(self):
         ens = make_ensemble()
@@ -223,6 +220,22 @@ class TestThermoIntegration:
             exact = circle_log_partition(M, ladder[i])
             assert abs(pts[i].f_estimate - exact) <= 3.0 * pts[i].stderr
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    def test_frozen_step_matches_circle_quadrature(self, eps):
+        """n=2, p=2, one rung at beta=1: any frozen step size samples the exact mean energy."""
+        J = sample_disorder(2, 2, seed=5)
+        M = (J.tensor() + J.tensor().T) / (2.0 * np.sqrt(2.0))
+        ens = TemperingEnsemble(J, [1.0], seed=21)
+        ens.freeze()
+        ens.deltas[...] = eps
+        tempering_sweep(ens, 200, record=False)
+        tempering_sweep(ens, 8000, record=True)
+        step = 1e-4  # the mean of H/n is d/dbeta of the (1/n) log partition function
+        upper, lower = (circle_log_partition(M, 1.0 + s) for s in (step, -step))
+        exact = (upper - lower) / (2 * step)
+        history = ens.history[0]
+        assert abs(np.mean(history) - exact) <= 3.0 * batch_means_stderr(history)
+
     def test_high_temperature_value(self):
         """n=32, p=3 at beta=0.6: within 0.05 of the replica-symmetric value."""
         J = sample_disorder(32, 3, seed=123)
@@ -236,7 +249,7 @@ class TestThermoIntegration:
         assert last.equilibrated
 
     def test_detailed_balance_smoke(self):
-        """Two frozen proposal scales sample the same mean energy (beta=1, n=8, p=2)."""
+        """Two frozen step sizes sample the same mean energy (beta=1, n=8, p=2)."""
         J = sample_disorder(8, 2, seed=55)
         means, errs = [], []
         for scale in (0.3, 1.0):
