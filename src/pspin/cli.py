@@ -195,6 +195,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
     if ns.command == "gstate" and ns.tol <= 0:
         parser.error("--tol must be positive")
+    for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1)):
+        if getattr(ns, dest, least) < least:
+            parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")
 
     skip = {"command", "config", "p", "seed", "output", "format", "n", "beta"}
     options = {k: v for k, v in vars(ns).items() if k not in skip}

@@ -8,10 +8,12 @@ contraction scaled by n^(-(p-1)/2); no symmetrization is applied, the sum
 runs over all index tuples.
 
 ``hamiltonian`` and ``gradient`` read the raw couplings, and they are all the
-ground-state search uses: its line search depends on every bit.  The
-tempering chains take gradients from ``sym_gradient``, through the tensor's
-``sym``: the couplings averaged over the p! orders of their slots, so that
-p - 1 contractions give the whole gradient.
+ground-state search uses: its line search depends on every bit.  Each reads
+the couplings once (``hamiltonian``) or twice (``gradient``) per block of
+rows and copies none of them.  The tempering chains take gradients from
+``sym_gradient``, through the tensor's ``sym``: the couplings averaged over
+the p! orders of their slots, so that p - 1 contractions give the whole
+gradient.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def sym_gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
     """The energy gradient through ``J.sym``, equal to ``gradient``'s up to rounding.
 
     p n^(-(p-1)/2) times ``J.sym`` against every slot but one: one matmul and
-    p - 2 batched mat-vecs, where ``gradient`` reads the tensor p times.
+    p - 2 batched mat-vecs, where ``gradient`` needs two matmuls over the raw
+    tensor to get every slot's term.
     """
     g = _contract(J, J.sym, sigma, J.p - 1)
     g *= J.p * J.norm_factor
@@ -167,23 +170,23 @@ def sym_gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
 
 
 def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n).
+    """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n); g . sigma = p H.
 
-    For slot m, KR_m(X) times the (n^m, n^(p-m)) view of the couplings takes
-    slots 0..m-1 and the slots after m go row by row; slots 0 and p-1 go first
-    so that KR_(p-1)(X) is freed early.  Each slot reads the tensor once per
-    block of rows and copies none of it.  g . sigma = p H.
+    Per block of rows, KR_(p-1)(X) and X read the couplings once each, for slot 0's term and
+    the prefix t; slot m's term is t against KR_(p-1-m)(X), then x takes slot m out of t.
     """
-    n, p, T, X = J.n, J.p, J.entries, _rows(J, sigma)
+    n, p, T, X = J.n, J.p, J.entries.reshape(J.n, -1), _rows(J, sigma)
     rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
-    blocks = []
-    for kr in (_kr_powers(X[lo:lo + rows], p - 1) for lo in range(0, len(X), rows)):
-        g = (T.reshape(n, -1) @ kr[p - 1].T).T + kr.pop() @ T.reshape(-1, n)
+    out = np.empty((len(X), n))
+    for lo in range(0, len(X), rows):
+        x, g = X[lo:lo + rows], out[lo:lo + rows]
+        kr = _kr_powers(x, p - 1)
+        g[:], t = kr.pop() @ T.T, (x @ T).reshape(len(x), n, -1)
         for m in range(1, p - 1):
-            head = (kr[m] @ T.reshape(n**m, -1)).reshape(len(g), n, -1)
-            g += (head @ kr[p - 1 - m][:, :, None])[:, :, 0]
-        blocks.append(g)
-    return J.norm_factor * np.concatenate(blocks).reshape(sigma.shape)
+            g += (t @ kr[p - 1 - m][:, :, None])[:, :, 0]
+            t = (x[:, None, :] @ t).reshape(len(x), n, -1)
+        g += t[:, :, 0]
+    return J.norm_factor * out.reshape(sigma.shape)
 
 
 def save_disorder(J: DisorderTensor, path: str) -> None:

@@ -82,6 +82,8 @@ def ground_state_search(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     n, p = J.n, J.p
     angles, hermite, solve, *search_grid = _circle(p)
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, p)))

@@ -349,6 +349,10 @@ def overlap_probe(
         raise ValueError(f"beta_index {beta_index} out of range")
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
 
     if replica_seeds is None:
         base = ensemble.seed

@@ -54,6 +54,23 @@ class TestParseConfig:
             parse_config(["gstate", "--p", "3", "--n", "8", "--tol", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gstate", "--max-iters", "-1"],
+        ["probe", "--bins", "0"],
+        ["probe", "--burn-in", "-5"],
+        ["thermo", "--burn-in", "-5"],
+    ])
+    def test_counts_out_of_range_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([*argv[:1], "--p", "3", "--n", "8", *argv[1:]])
+        assert exc.value.code == 2
+
+    def test_zero_max_iters_and_burn_in_are_allowed(self):
+        cfg = parse_config(["gstate", "--p", "3", "--n", "8", "--max-iters", "0"])
+        assert cfg.options["max_iters"] == 0
+        cfg = parse_config(["probe", "--p", "3", "--n", "8", "--burn-in", "0", "--bins", "1"])
+        assert (cfg.options["burn_in"], cfg.options["bins"]) == (0, 1)
+
     def test_sweep_grid(self):
         cfg = parse_config(["sweep", "--p", "3", "--beta", "0:5:0.01"])
         assert len(cfg.beta_grid) == 501
@@ -350,6 +367,9 @@ class TestExitCodes:
         assert run_cli("sweep", "--p", "1").returncode == 2
         assert run_cli("sweep", "--p", "3", "--beta", "5:0:1").returncode == 2
         assert run_cli("nonsense").returncode == 2
+        gstate = run_cli("gstate", "--p", "3", "--n", "8", "--max-iters", "-1")
+        assert gstate.returncode == 2 and gstate.stdout == ""
+        assert "--max-iters must be >= 0" in gstate.stderr
 
     def test_numerical_failure_is_one(self, tmp_path):
         # output path in a missing directory: compute succeeds, write fails

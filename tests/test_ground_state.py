@@ -58,6 +58,15 @@ class TestTrivialCases:
         with pytest.raises(ValueError):
             ground_state_search(J, restarts=0)
 
+    def test_rejects_negative_max_iters(self):
+        # -1 would leave every restart unset; 0 takes one gradient and stops
+        J = sample_disorder(6, 2, seed=0)
+        with pytest.raises(ValueError, match="max_iters"):
+            ground_state_search(J, restarts=3, max_iters=-1)
+        res = ground_state_search(J, restarts=3, max_iters=0)
+        assert res.restart_iterations == (0, 0, 0)
+        assert set(res.restart_stop_reasons) <= {"tol", "max_iters"}
+
 
 class TestSpectralReduction:
     def test_p2_matches_power_iteration(self):

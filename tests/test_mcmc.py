@@ -374,3 +374,11 @@ class TestOverlapProbe:
         tmpl = TemperingEnsemble(J, [0.0], seed=4)
         with pytest.raises(ValueError):
             overlap_probe(tmpl, k=1, beta_index=0, sweeps=10)
+
+    def test_rejects_no_bins_and_negative_burn_in(self):
+        J = sample_disorder(8, 3, seed=3)
+        tmpl = TemperingEnsemble(J, [0.0], seed=4)
+        with pytest.raises(ValueError, match="bins"):
+            overlap_probe(tmpl, k=2, beta_index=0, sweeps=10, bins=0)
+        with pytest.raises(ValueError, match="burn_in"):
+            overlap_probe(tmpl, k=2, beta_index=0, sweeps=10, burn_in=-5)
