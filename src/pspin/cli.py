@@ -193,8 +193,11 @@ def parse_config(argv: list[str]) -> RunConfig:
     if n is not None and n < 2:
         parser.error(f"--n must be >= 2, got {n}")
 
-    if ns.command == "gstate" and ns.tol <= 0:
-        parser.error("--tol must be positive")
+    if ns.command == "gstate" and not (math.isfinite(ns.tol) and ns.tol > 0):
+        parser.error(f"--tol must be finite and positive, got {ns.tol}")
+    dest = {"thermo": "beta_max", "probe": "beta"}.get(ns.command)
+    if dest is not None and not math.isfinite(getattr(ns, dest) or 0.0):
+        parser.error(f"--{dest.replace('_', '-')} must be finite, got {getattr(ns, dest)}")
     for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1)):
         if getattr(ns, dest, least) < least:
             parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")

@@ -7,10 +7,12 @@ configuration sigma on the sphere ||sigma||^2 = n is the full tensor
 contraction scaled by n^(-(p-1)/2); no symmetrization is applied, the sum
 runs over all index tuples.
 
-``hamiltonian`` and ``gradient`` read the raw couplings, and they are all the
-ground-state search uses: its line search depends on every bit.  Each reads
-the couplings once (``hamiltonian``) or twice (``gradient``) per block of
-rows and copies none of them.  The tempering chains take gradients from
+``hamiltonian`` and ``gradient`` read the raw couplings.  Each reads them
+once (``hamiltonian``) or twice (``gradient``) per block of rows and copies
+none of them; ``gradient`` reads them once when the caller passes the rows'
+prefix, their contraction with slot 0.  The ground-state search takes its
+gradients from ``gradient`` and stays on the raw couplings, because its line
+search depends on every bit.  The tempering chains take gradients from
 ``sym_gradient``, through the tensor's ``sym``: the couplings averaged over
 the p! orders of their slots, so that p - 1 contractions give the whole
 gradient.
@@ -169,19 +171,26 @@ def sym_gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
     return g.reshape(sigma.shape)
 
 
-def gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
+def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n); g . sigma = p H.
 
     Per block of rows, KR_(p-1)(X) and X read the couplings once each, for slot 0's term and
     the prefix t; slot m's term is t against KR_(p-1-m)(X), then x takes slot m out of t.
+    A caller that holds the prefix, ``X @ J.entries.reshape(n, -1)`` with n^(p-1) entries
+    per row, passes it as ``prefix`` and saves the second read; it is not modified.
     """
     n, p, T, X = J.n, J.p, J.entries.reshape(J.n, -1), _rows(J, sigma)
+    if prefix is not None:
+        if prefix.size != len(X) * n ** (p - 1):
+            raise ValueError(f"prefix of {prefix.size} entries does not match {len(X)} rows")
+        prefix = prefix.reshape(len(X), -1)
     rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
     out = np.empty((len(X), n))
     for lo in range(0, len(X), rows):
         x, g = X[lo:lo + rows], out[lo:lo + rows]
         kr = _kr_powers(x, p - 1)
-        g[:], t = kr.pop() @ T.T, (x @ T).reshape(len(x), n, -1)
+        g[:] = kr.pop() @ T.T
+        t = (x @ T if prefix is None else prefix[lo:lo + rows]).reshape(len(x), n, -1)
         for m in range(1, p - 1):
             g += (t @ kr[p - 1 - m][:, :, None])[:, :, 0]
             t = (x[:, None, :] @ t).reshape(len(x), n, -1)

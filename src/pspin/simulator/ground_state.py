@@ -1,20 +1,25 @@
 """Ground-state search by Riemannian conjugate gradient on the sphere.
 
-All restarts ascend together as one (R, n) array; a row leaves it when it
-stops.  Each step follows a Polak-Ribiere+ direction (the previous one is
-projected onto the new tangent space; Absil, Mahony & Sepulchre, 2008) to the
-exact maximum on the great circle cos(t) sigma + sin(t) v, |v|^2 = n, where
+Restarts ascend together as one (R, n) array, in chunks of at most the
+kernels' block of prefix entries; a row leaves it when it stops.  Each step
+follows a Polak-Ribiere+ direction (the previous one is projected onto the new
+tangent space; Absil, Mahony & Sepulchre, 2008) to the exact maximum on the
+great circle cos(t) sigma + sin(t) v, |v|^2 = n, where
 H = sum_k a_k cos^(p-k) sin^k: a_0 = H(sigma) and a_1 = g.v come from the
-gradient, a_2..a_p from energies at p-1 fixed angles.
+gradient, a_2..a_p from the prefixes sigma.T and v.T, the couplings against
+slot 0, by batched mat-vecs over the other slots (Kolda & Bader, 2009, 2.5).
+Each row carries sigma.T from step to step, since it is linear in sigma, so an
+iteration reads the couplings twice: once in the gradient, once for v.T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderTensor, gradient, hamiltonian, random_configuration
+from .disorder import _BLOCK_ENTRIES, DisorderTensor, gradient, random_configuration
 
 
 @dataclass(frozen=True)
@@ -36,13 +41,28 @@ def _basis(t: np.ndarray, p: int) -> np.ndarray:
 
 
 def _circle(p: int):
-    """Fixed angles, the solve for a_2..a_p, the derivative map and the grid."""
-    angles = np.arange(1, p) * np.pi / p
-    at_angles = _basis(angles, p)
+    """The derivative map and the search grid on the circle."""
     # f' = sum_k b_k cos^(p-k) sin^k with b = deriv @ a
     deriv = np.diag(np.arange(1.0, p + 1), 1) - np.diag(np.arange(float(p), 0, -1), -1)
     grid = np.linspace(0.0, 2.0 * np.pi, 16 * p, endpoint=False)
-    return angles, at_angles[:, :2], np.linalg.inv(at_angles[:, 2:]), deriv, grid, _basis(grid, p)
+    return deriv, grid, _basis(grid, p)
+
+
+def _circle_coefficients(ts: np.ndarray, tv: np.ndarray, sigma: np.ndarray, v: np.ndarray):
+    """Per row, b_0..b_p with T(x, ..., x) = sum_k b_k cos^(p-k) sin^k, x = cos t sigma + sin t v.
+
+    ``ts`` and ``tv`` are sigma and v against slot 0, (r, n^(p-1)).  Entry k of
+    ``terms`` sums the slot choices with k of them v so far; each further slot
+    takes sigma and v out of every term by batched mat-vecs.
+    """
+    r, n = sigma.shape
+    w = np.stack([sigma, v], axis=1)
+    terms = [ts, tv]
+    while terms[0].shape[1] > 1:
+        out = [w @ term.reshape(r, n, -1) for term in terms]  # (r, 2, width / n)
+        terms = [out[0][:, 0], *(out[k][:, 0] + out[k - 1][:, 1] for k in range(1, len(out))),
+                 out[-1][:, 1]]
+    return np.concatenate(terms, axis=1)
 
 
 def _circle_argmax(a: np.ndarray, p: int, deriv, grid, at_grid) -> np.ndarray:
@@ -66,37 +86,26 @@ def _circle_argmax(a: np.ndarray, p: int, deriv, grid, at_grid) -> np.ndarray:
     return t
 
 
-def ground_state_search(
-    J: DisorderTensor,
-    restarts: int = 10,
-    max_iters: int = 2000,
-    tol: float = 1e-7,
-    seed: int = 0,
-) -> GroundStateResult:
-    """Best local maximum of the energy over ``restarts`` random starts.
+def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
+    """Ascend the rows of ``sigma`` together until each stops.
 
-    A restart stops with reason "tol" once its tangential gradient norm per
-    sqrt(n) is at most ``tol``, "stalled" once a line search leaves it where
-    it is, and "max_iters" after ``max_iters`` line searches, contributing its
-    last iterate; only "tol" counts as converged.  Runs are bit-reproducible.
+    Returns each row's final configuration, energy, gradient norm per sqrt(n),
+    iteration count and stop reason.  Each row carries its prefix ``ts``,
+    sigma against slot 0: the gradient takes it in place of its second read of
+    the couplings, and the line search reads them once more, for v.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    n, p = J.n, J.p
-    angles, hermite, solve, *search_grid = _circle(p)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n, p)))
-    sigma = np.stack([random_configuration(n, rng) for _ in range(restarts)])
-
-    final, energy, grad_norm = np.empty_like(sigma), np.empty(restarts), np.empty(restarts)
-    iterations, reasons = [0] * restarts, [""] * restarts
-    live = np.arange(restarts)  # restart index of each row still ascending
-    stuck = np.zeros(restarts, dtype=bool)  # the last line search left the row in place
-    prev_dir, prev_tangent, prev_gg = np.zeros_like(sigma), np.zeros_like(sigma), np.ones(restarts)
+    n, p, T = J.n, J.p, J.entries.reshape(J.n, -1)
+    search_grid = _circle(p)
+    r = len(sigma)
+    final, energy, grad_norm = np.empty_like(sigma), np.empty(r), np.empty(r)
+    iterations, reasons = [0] * r, [""] * r
+    ts = sigma @ T
+    live = np.arange(r)  # index of each row still ascending
+    stuck = np.zeros(r, dtype=bool)  # the last line search left the row in place
+    prev_dir, prev_tangent, prev_gg = np.zeros_like(sigma), np.zeros_like(sigma), np.ones(r)
 
     for it in range(max_iters + 1):
-        g = gradient(J, sigma)
+        g = gradient(J, sigma, prefix=ts)
         h = (g * sigma).sum(axis=1) / p  # g . sigma = p H
         tangent = g - (p * h / n)[:, None] * sigma
         gg = (tangent * tangent).sum(axis=1)
@@ -110,8 +119,9 @@ def ground_state_search(
         keep = why == ""
         if not keep.any():
             break
-        sigma, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg = (
-            x[keep] for x in (sigma, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg))
+        if not keep.all():
+            sigma, ts, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg = (
+                x[keep] for x in (sigma, ts, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg))
 
         # Polak-Ribiere+ direction, the previous one projected onto this tangent space
         beta = np.maximum(0.0, (gg - (tangent * prev_tangent).sum(axis=1)) / prev_gg)
@@ -120,16 +130,55 @@ def ground_state_search(
         direction = np.where(((direction * tangent).sum(axis=1) > 0)[:, None], direction, tangent)
         v = direction * (np.sqrt(n) / np.linalg.norm(direction, axis=1))[:, None]
 
-        # energy on the great circle: a_0, a_1 from the gradient, the rest from p-1 angles
-        points = np.cos(angles)[:, None] * sigma[:, None] + np.sin(angles)[:, None] * v[:, None]
-        on_circle = hamiltonian(J, points.reshape(-1, n)).reshape(len(sigma), p - 1)
-        a01 = np.stack([h, (tangent * v).sum(axis=1)], axis=1)
-        a = np.concatenate([a01, (on_circle - a01 @ hermite.T) @ solve.T], axis=1)
+        # energy on the great circle: a_0, a_1 from the gradient, the rest from the prefixes
+        tv = v @ T
+        a = J.norm_factor * _circle_coefficients(ts, tv, sigma, v)
+        a[:, 0], a[:, 1] = h, (tangent * v).sum(axis=1)
         t = _circle_argmax(a, p, *search_grid)
-        moved = np.cos(t)[:, None] * sigma + np.sin(t)[:, None] * v
-        moved *= (np.sqrt(n) / np.linalg.norm(moved, axis=1))[:, None]
+        cos, sin = np.cos(t)[:, None], np.sin(t)[:, None]
+        moved = cos * sigma + sin * v
+        scale = (np.sqrt(n) / np.linalg.norm(moved, axis=1))[:, None]
+        moved *= scale
+        # the prefix is linear in sigma, so it follows the move without a read
+        tv *= sin
+        ts *= cos
+        ts += tv
+        ts *= scale
+        del tv  # held through the next gradient, it would raise the peak memory
         stuck = (t == 0.0) | np.all(moved == sigma, axis=1)
         sigma, prev_dir, prev_tangent, prev_gg = moved, direction, tangent, gg
+
+    return final, energy, grad_norm, iterations, reasons
+
+
+def ground_state_search(
+    J: DisorderTensor,
+    restarts: int = 10,
+    max_iters: int = 2000,
+    tol: float = 1e-7,
+    seed: int = 0,
+) -> GroundStateResult:
+    """Best local maximum of the energy over ``restarts`` random starts.
+
+    A restart stops with reason "tol" once its tangential gradient norm per
+    sqrt(n) is at most ``tol``, "stalled" once a line search leaves it where
+    it is, and "max_iters" after ``max_iters`` line searches, contributing its
+    last iterate; only "tol" counts as converged.  Restarts ascend in chunks
+    whose prefixes hold at most the kernels' block of entries (one row at
+    least).  Runs are bit-reproducible.
+    """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    n, p = J.n, J.p
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n, p)))
+    sigma = np.stack([random_configuration(n, rng) for _ in range(restarts)])
+    chunk = max(1, _BLOCK_ENTRIES // n ** (p - 1))
+    parts = [_ascend(J, sigma[lo:lo + chunk], max_iters, tol) for lo in range(0, restarts, chunk)]
+    final, energy, grad_norm, iterations, reasons = (np.concatenate(x) for x in zip(*parts))
 
     best = int(np.argmax(energy))
     return GroundStateResult(
@@ -138,7 +187,7 @@ def ground_state_search(
         converged=all(r == "tol" for r in reasons),
         restart_energies=tuple(float(e / n) for e in energy),
         restart_converged=tuple(r == "tol" for r in reasons),
-        restart_iterations=tuple(iterations),
-        restart_stop_reasons=tuple(reasons),
+        restart_iterations=tuple(int(i) for i in iterations),
+        restart_stop_reasons=tuple(str(r) for r in reasons),
         restart_gradient_norms=tuple(float(x) for x in grad_norm),
     )

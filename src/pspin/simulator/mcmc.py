@@ -403,8 +403,8 @@ def default_ladder(beta_max: float, rungs: int, beta_c: float | None = None) -> 
     The mean energy varies fastest around the transition, so when the ladder
     straddles beta_c a geometric cluster of points is inserted on both sides.
     """
-    if beta_max <= 0.0:
-        raise ValueError(f"beta_max must be positive, got {beta_max}")
+    if not (np.isfinite(beta_max) and beta_max > 0.0):
+        raise ValueError(f"beta_max must be finite and positive, got {beta_max}")
     if rungs < 2:
         raise ValueError(f"need at least two rungs, got {rungs}")
     grid = np.linspace(0.0, beta_max, rungs)

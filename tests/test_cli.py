@@ -55,6 +55,22 @@ class TestParseConfig:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["gstate", "--tol", "nan"],
+        ["gstate", "--tol", "inf"],
+        ["thermo", "--beta-max", "inf"],
+        ["thermo", "--beta-max", "nan"],
+        ["probe", "--beta", "inf"],
+        ["probe", "--beta", "nan"],
+    ])
+    def test_values_not_finite_are_usage_errors(self, argv, capsys):
+        # nan kept every gstate restart to max_iters, inf stopped each at
+        # iteration 0; a thermo ladder to inf ran its chains on NaN kicks
+        with pytest.raises(SystemExit) as exc:
+            parse_config([*argv[:1], "--p", "3", "--n", "8", *argv[1:]])
+        assert exc.value.code == 2
+        assert f"{argv[1]} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["gstate", "--max-iters", "-1"],
         ["probe", "--bins", "0"],
         ["probe", "--burn-in", "-5"],
@@ -370,6 +386,9 @@ class TestExitCodes:
         gstate = run_cli("gstate", "--p", "3", "--n", "8", "--max-iters", "-1")
         assert gstate.returncode == 2 and gstate.stdout == ""
         assert "--max-iters must be >= 0" in gstate.stderr
+        thermo = run_cli("thermo", "--p", "3", "--n", "8", "--beta-max", "inf")
+        assert thermo.returncode == 2 and thermo.stdout == ""
+        assert "--beta-max must be finite" in thermo.stderr
 
     def test_numerical_failure_is_one(self, tmp_path):
         # output path in a missing directory: compute succeeds, write fails

@@ -107,7 +107,10 @@ class TestHamiltonian:
 
         J = sample_disorder(5, 4, seed=2)
         X = np.random.default_rng(3).standard_normal((7, 5))
-        kernels = (hamiltonian, gradient, sym_gradient)
+        def with_prefix(J, X):
+            return gradient(J, X, prefix=X @ J.entries.reshape(5, -1))
+
+        kernels = (hamiltonian, gradient, sym_gradient, with_prefix)
         whole = [kernel(J, X) for kernel in kernels]
         monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * 5**3)  # blocks of 2 rows
         for kernel, one_block in zip(kernels, whole):
@@ -215,6 +218,17 @@ class TestGradient:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * 24**3
+
+    def test_prefix_replaces_the_second_read(self):
+        J = sample_disorder(6, 3, seed=14)
+        X = np.stack([random_configuration(6, np.random.default_rng(i)) for i in range(4)])
+        prefix = X @ J.entries.reshape(6, -1)
+        np.testing.assert_allclose(gradient(J, X, prefix=prefix), gradient(J, X), rtol=1e-13)
+        # a zero prefix leaves slot 0's term alone, which holds H once where g holds it p times
+        alone = gradient(J, X, prefix=np.zeros_like(prefix))
+        np.testing.assert_allclose((alone * X).sum(axis=1), hamiltonian(J, X), rtol=1e-12)
+        with pytest.raises(ValueError, match="prefix"):
+            gradient(J, X, prefix=prefix[:3])
 
     def test_radial_identity(self):
         # contracting every slot against sigma makes g . sigma = p H

@@ -1,9 +1,19 @@
 """Ground-state search against spectral and trivial oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pspin.simulator import DisorderTensor, ground_state_search, hamiltonian, sample_disorder
+from pspin.simulator import (
+    DisorderTensor,
+    gradient,
+    ground_state_search,
+    hamiltonian,
+    random_configuration,
+    sample_disorder,
+)
+from pspin.simulator import ground_state
 
 from oracles import top_eigenvalue_power
 
@@ -66,6 +76,71 @@ class TestTrivialCases:
         res = ground_state_search(J, restarts=3, max_iters=0)
         assert res.restart_iterations == (0, 0, 0)
         assert set(res.restart_stop_reasons) <= {"tol", "max_iters"}
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
+    def test_rejects_tol_not_finite_and_positive(self, tol):
+        # nan never stops a restart early; inf stops every one before it moves
+        J = sample_disorder(6, 2, seed=0)
+        with pytest.raises(ValueError, match="tol"):
+            ground_state_search(J, restarts=2, tol=tol)
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_circle_coefficients_match_energies(self, p):
+        n = {2: 9, 3: 7, 4: 6, 5: 5, 6: 4}[p]
+        J = sample_disorder(n, p, seed=40 + p)
+        rng = np.random.default_rng(p)
+        sigma = np.stack([random_configuration(n, rng) for _ in range(3)])
+        v = rng.standard_normal(sigma.shape)
+        v -= ((v * sigma).sum(axis=1) / n)[:, None] * sigma
+        v *= (np.sqrt(n) / np.linalg.norm(v, axis=1))[:, None]
+        T = J.entries.reshape(n, -1)
+        a = J.norm_factor * ground_state._circle_coefficients(sigma @ T, v @ T, sigma, v)
+        assert a.shape == (3, p + 1)
+        angles = np.linspace(0.3, 6.0, 7)
+        on_circle = ground_state._basis(angles, p) @ a.T  # (angles, rows)
+        for i, t in enumerate(angles):
+            exact = hamiltonian(J, np.cos(t) * sigma + np.sin(t) * v)
+            assert np.all(np.abs(on_circle[i] - exact) <= 1e-12 * np.abs(a).sum(axis=1))
+
+    def test_carried_prefix_stays_exact(self):
+        # the prefix follows the moves without a fresh read; the reported energy
+        # and the stopping gradient must still be those of the final configuration
+        n, tol = 16, 1e-9
+        J = sample_disorder(n, 4, seed=12)
+        res = ground_state_search(J, restarts=4, max_iters=4000, tol=tol, seed=5)
+        assert res.converged
+        assert abs(res.energy_per_spin - hamiltonian(J, res.sigma) / n) <= 1e-12
+        g = gradient(J, res.sigma)
+        tangent = g - (g @ res.sigma / n) * res.sigma
+        assert np.linalg.norm(tangent) / np.sqrt(n) <= 1.01 * tol
+
+    def test_chunks_match_one_chunk_and_bound_memory(self, monkeypatch):
+        n, p = 8, 3
+        J = sample_disorder(n, p, seed=5)
+        whole = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
+        block = 3 * n ** (p - 1)  # three rows of prefix per chunk
+        monkeypatch.setattr(ground_state, "_BLOCK_ENTRIES", block)
+        chunks, ascend = [], ground_state._ascend
+
+        def counted(J, sigma, *args):
+            chunks.append(len(sigma))
+            return ascend(J, sigma, *args)
+
+        monkeypatch.setattr(ground_state, "_ascend", counted)
+        tracemalloc.start()
+        try:
+            split = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == [3, 3, 1]
+        assert split.restart_stop_reasons == whole.restart_stop_reasons
+        np.testing.assert_allclose(split.restart_energies, whole.restart_energies,
+                                   rtol=0, atol=1e-12)
+        # a few blocks of intermediates over a fixed cost; the one-chunk run peaks near 30 KB
+        assert peak <= 16 * 1024 + 4 * 8 * block
 
 
 class TestSpectralReduction:

@@ -290,6 +290,11 @@ class TestLadder:
         grid = default_ladder(0.6, 13, beta_c=1.2)
         assert len(grid) == 13
 
+    @pytest.mark.parametrize("beta_max", [float("inf"), float("nan"), 0.0])
+    def test_rejects_beta_max_not_finite_and_positive(self, beta_max):
+        with pytest.raises(ValueError, match="beta_max"):
+            default_ladder(beta_max, 5, beta_c=0.7)
+
 
 class TestSplitRhat:
     def test_hand_computed(self):
