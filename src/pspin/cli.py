@@ -196,9 +196,11 @@ def parse_config(argv: list[str]) -> RunConfig:
     if ns.command == "gstate" and not (math.isfinite(ns.tol) and ns.tol > 0):
         parser.error(f"--tol must be finite and positive, got {ns.tol}")
     dest = {"thermo": "beta_max", "probe": "beta"}.get(ns.command)
-    if dest is not None and not math.isfinite(getattr(ns, dest) or 0.0):
-        parser.error(f"--{dest.replace('_', '-')} must be finite, got {getattr(ns, dest)}")
-    for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1)):
+    beta = getattr(ns, dest) if dest is not None else None
+    if beta is not None and not (math.isfinite(beta) and beta > 0):
+        parser.error(f"--{dest.replace('_', '-')} must be finite and positive, got {beta}")
+    for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1), ("rungs", 2), ("k", 2),
+                        ("sweeps", 1), ("restarts", 1), ("trials", 0)):
         if getattr(ns, dest, least) < least:
             parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")
 
@@ -451,8 +453,6 @@ def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
     beta = config.options.get("beta")
     if beta is None:
         beta = 2.0 * cp.beta_c
-    if beta <= 0:
-        raise ValueError(f"probe beta must be positive, got {beta}")
     ladder = default_ladder(beta, config.options["rungs"], beta_c=cp.beta_c)
     template = TemperingEnsemble(J, ladder, seed=np.random.SeedSequence((config.seed, 202)))
     hist = overlap_probe(

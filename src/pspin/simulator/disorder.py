@@ -14,19 +14,17 @@ prefix, their contraction with slot 0.  The ground-state search takes its
 gradients from ``gradient`` and stays on the raw couplings, because its line
 search depends on every bit.  The tempering chains take gradients from
 ``sym_gradient``, through the tensor's ``sym``: the couplings averaged over
-the p! orders of their slots, so that p - 1 contractions give the whole
-gradient.
+the p places of the slot that p - 1 contractions leave free, so that they
+give the whole gradient; ``sym`` is not symmetric in the contracted slots.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -69,17 +67,18 @@ class DisorderTensor:
 
     @cached_property
     def sym(self) -> np.ndarray:
-        """The couplings averaged over the p! orders of their slots, built on first use.
+        """The couplings averaged over the p places of slot 1, built on first use.
 
-        The transposed views of the tensor are summed into one buffer, the only
-        n^p entries the build allocates.  Kept in the instance's ``__dict__``:
-        not a field, so not compared, not saved, and carried by ``copy.deepcopy``.
+        Slot 1 is the one ``sym_gradient`` leaves free; the others all take the same row, so
+        their order does not matter.  The p views are summed into one buffer, the only n^p
+        entries the build allocates.  Kept in the instance's ``__dict__``: not a field, so
+        not compared, not saved, and carried by ``copy.deepcopy``.
         """
         T = self.tensor()
         out = np.zeros_like(T)
-        for order in permutations(range(self.p)):
-            out += T.transpose(order)
-        out /= math.factorial(self.p)
+        for m in range(self.p):
+            out += np.moveaxis(T, m, 1)
+        out /= self.p
         return out
 
 

@@ -75,6 +75,17 @@ class TestParseConfig:
         ["probe", "--bins", "0"],
         ["probe", "--burn-in", "-5"],
         ["thermo", "--burn-in", "-5"],
+        # rejected by the parser, before any disorder is sampled
+        ["thermo", "--rungs", "1"],
+        ["probe", "--rungs", "1"],
+        ["probe", "--k", "1"],
+        ["thermo", "--sweeps", "0"],
+        ["probe", "--sweeps", "0"],
+        ["gstate", "--restarts", "0"],
+        ["mc-verify", "--trials", "-1"],
+        ["thermo", "--beta-max", "0"],
+        ["thermo", "--beta-max=-1"],
+        ["probe", "--beta", "0"],
     ])
     def test_counts_out_of_range_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -86,6 +97,8 @@ class TestParseConfig:
         assert cfg.options["max_iters"] == 0
         cfg = parse_config(["probe", "--p", "3", "--n", "8", "--burn-in", "0", "--bins", "1"])
         assert (cfg.options["burn_in"], cfg.options["bins"]) == (0, 1)
+        cfg = parse_config(["mc-verify", "--p", "3", "--n", "8", "--trials", "0"])
+        assert cfg.options["trials"] == 0
 
     def test_sweep_grid(self):
         cfg = parse_config(["sweep", "--p", "3", "--beta", "0:5:0.01"])
@@ -400,8 +413,8 @@ class TestExitCodes:
     def test_probe_rejects_zero_beta(self):
         proc = run_cli("probe", "--p", "3", "--n", "4", "--beta", "0", "--k", "2",
                        "--rungs", "2", "--sweeps", "2", "--burn-in", "0")
-        assert proc.returncode != 0
-        assert "probe beta must be positive" in proc.stderr
+        assert proc.returncode == 2
+        assert "--beta must be finite and positive, got 0.0" in proc.stderr
 
     def test_reproducible_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"
