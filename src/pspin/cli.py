@@ -200,7 +200,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if beta is not None and not (math.isfinite(beta) and beta > 0):
         parser.error(f"--{dest.replace('_', '-')} must be finite and positive, got {beta}")
     for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1), ("rungs", 2), ("k", 2),
-                        ("sweeps", 1), ("restarts", 1), ("trials", 0)):
+                        ("sweeps", 1), ("restarts", 1), ("trials", 0), ("draws", 1000)):
         if getattr(ns, dest, least) < least:
             parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")
 
@@ -373,10 +373,12 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
             "iterations": iters,
             "stop_reason": reason,
             "gradient_norm": gnorm,
+            "newton_steps": newton,
         }
-        for i, (e, ok, iters, reason, gnorm) in enumerate(zip(
+        for i, (e, ok, iters, reason, gnorm, newton) in enumerate(zip(
             result.restart_energies, result.restart_converged, result.restart_iterations,
             result.restart_stop_reasons, result.restart_gradient_norms,
+            result.restart_newton_steps,
         ))
     ]
     extra = {

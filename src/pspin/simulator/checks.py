@@ -65,7 +65,7 @@ def covariance_check(
     for s in configs:
         if s.shape != (n,):
             raise ValueError(f"configuration shape {s.shape} does not match n={n}")
-    u = np.ascontiguousarray(_kr_powers(np.stack(configs), p)[p].T)  # (n^p, 2 * npairs)
+    u = np.ascontiguousarray(_kr_powers(np.stack(configs), p)[-1].T)  # (n^p, 2 * npairs)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     m = len(pairs)

@@ -125,9 +125,9 @@ def _rows(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
 
 
 def _kr_powers(X: np.ndarray, order: int) -> list[np.ndarray]:
-    """Row-wise Khatri-Rao powers KR_0(X), ..., KR_order(X); KR_k is (r, n^k)."""
-    powers = [np.ones((X.shape[0], 1))]
-    for _ in range(order):
+    """Row-wise Khatri-Rao powers KR_1(X) = X, ..., KR_order(X); KR_k is (r, n^k)."""
+    powers = [X]
+    for _ in range(order - 1):
         powers.append((powers[-1][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1))
     return powers
 
@@ -191,7 +191,7 @@ def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = N
         g[:] = kr.pop() @ T.T
         t = (x @ T if prefix is None else prefix[lo:lo + rows]).reshape(len(x), n, -1)
         for m in range(1, p - 1):
-            g += (t @ kr[p - 1 - m][:, :, None])[:, :, 0]
+            g += (t @ kr[p - 2 - m][:, :, None])[:, :, 0]
             t = (x[:, None, :] @ t).reshape(len(x), n, -1)
         g += t[:, :, 0]
     return J.norm_factor * out.reshape(sigma.shape)

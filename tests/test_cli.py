@@ -86,6 +86,7 @@ class TestParseConfig:
         ["thermo", "--beta-max", "0"],
         ["thermo", "--beta-max=-1"],
         ["probe", "--beta", "0"],
+        ["mc-verify", "--draws", "10"],
     ])
     def test_counts_out_of_range_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +258,7 @@ class TestCommands:
         assert sum(r["is_best"] for r in doc["rows"]) == 1
         for r in doc["rows"]:
             assert r["stop_reason"] == "tol" and r["converged"] and r["iterations"] >= 1
+            assert 0 <= r["newton_steps"] <= r["iterations"]
         assert doc["meta"]["best_energy_per_spin"] == max(
             r["energy_per_spin"] for r in doc["rows"]
         )
@@ -402,6 +404,10 @@ class TestExitCodes:
         thermo = run_cli("thermo", "--p", "3", "--n", "8", "--beta-max", "inf")
         assert thermo.returncode == 2 and thermo.stdout == ""
         assert "--beta-max must be finite" in thermo.stderr
+        # the parser's bound, checked before any covariance draw
+        verify = run_cli("mc-verify", "--p", "3", "--n", "4", "--draws", "10", "--trials", "1")
+        assert verify.returncode == 2 and verify.stdout == ""
+        assert "--draws must be >= 1000, got 10" in verify.stderr
 
     def test_numerical_failure_is_one(self, tmp_path):
         # output path in a missing directory: compute succeeds, write fails

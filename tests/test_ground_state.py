@@ -49,7 +49,7 @@ class TestTrivialCases:
         assert len(res.restart_energies) == 5
         assert res.energy_per_spin == max(res.restart_energies)
         for field in ("restart_converged", "restart_iterations", "restart_stop_reasons",
-                      "restart_gradient_norms"):
+                      "restart_gradient_norms", "restart_newton_steps"):
             assert len(getattr(res, field)) == 5
         for ok, reason, gnorm in zip(res.restart_converged, res.restart_stop_reasons,
                                      res.restart_gradient_norms):
@@ -141,6 +141,60 @@ class TestLineSearch:
                                    rtol=0, atol=1e-12)
         # a few blocks of intermediates over a fixed cost; the one-chunk run peaks near 30 KB
         assert peak <= 16 * 1024 + 4 * 8 * block
+
+
+class TestNewton:
+    @pytest.mark.parametrize("p, n", [(2, 9), (3, 7), (4, 6), (5, 5), (3, 2)])
+    def test_hessian_matches_einsum_oracle(self, p, n):
+        # the defining sum over ordered pairs of distinct slots, the others against sigma
+        J = sample_disorder(n, p, seed=60 + p)
+        rng = np.random.default_rng(p + n)
+        sigma = np.stack([random_configuration(n, rng) for _ in range(3)])
+        axes = "abcde"[:p]
+        oracle = np.zeros((3, n, n))
+        for a in axes:
+            for b in axes:
+                if a != b:
+                    others = [c for c in axes if c not in (a, b)]
+                    rows = "r" if others else ""  # at p = 2 every row has the same Hessian
+                    subscripts = ",".join([axes] + ["r" + c for c in others]) + "->" + rows + a + b
+                    oracle += np.einsum(subscripts, J.tensor(), *[sigma] * len(others))
+        hess = ground_state._hessian(J, sigma, sigma @ J.entries.reshape(n, -1))
+        np.testing.assert_allclose(hess, J.norm_factor * oracle, rtol=1e-12)
+
+    @pytest.mark.parametrize("top, newton_steps", [(True, 1), (False, 0)])
+    def test_newton_only_where_the_tangent_hessian_is_negative_definite(
+            self, monkeypatch, top, newton_steps):
+        # at p=2 the Riemannian Hessian at an eigenvector of (T + T^T)/2 is negative
+        # definite only at the top one; a nudge puts the gradient norm between tol and 1e-3
+        n, tol = 12, 1e-7
+        J = sample_disorder(n, 2, seed=21)
+        vectors = np.linalg.eigh((J.tensor() + J.tensor().T) / 2)[1]
+        x = vectors[:, -1 if top else -2] + 1e-5 * np.random.default_rng(3).standard_normal(n)
+        sigma = (x * np.sqrt(n) / np.linalg.norm(x))[None]
+        g = gradient(J, sigma[0])
+        assert tol < np.linalg.norm(g - (g @ sigma[0] / n) * sigma[0]) / np.sqrt(n) < 1e-3
+        final, _, gnorm, _, _, newton = ground_state._ascend(J, sigma, 1, tol)
+        monkeypatch.setattr(ground_state, "_NEWTON_GNORM", 0.0)
+        cg_final, _, cg_gnorm, _, _, cg_newton = ground_state._ascend(J, sigma, 1, tol)
+        assert list(newton) == [newton_steps] and list(cg_newton) == [0]
+        if top:  # quadratic convergence where CG gains a factor of a few
+            assert gnorm[0] < 1e-12 < 1e-6 < cg_gnorm[0]
+        else:  # the PR+ step, to the bit
+            assert np.array_equal(final, cg_final) and np.array_equal(gnorm, cg_gnorm)
+
+    def test_quadratic_finish(self):
+        # the gstate-p3-n64 configuration: each restart ends on a few Newton steps
+        J = sample_disorder(64, 3, seed=9000)
+        res = ground_state_search(J, restarts=50, seed=17)
+        assert set(res.restart_stop_reasons) == {"tol"}
+        assert 1 <= min(res.restart_newton_steps) and max(res.restart_newton_steps) <= 3
+        assert res.energy_per_spin == pytest.approx(1.616109962646, rel=1e-12)
+
+    def test_no_newton_step_above_its_threshold(self):
+        J = sample_disorder(64, 3, seed=9000)
+        res = ground_state_search(J, restarts=50, tol=1e-2, seed=17)
+        assert res.restart_newton_steps == (0,) * 50
 
 
 class TestSpectralReduction:
