@@ -11,12 +11,14 @@ slot 0, by batched mat-vecs over the other slots (Kolda & Bader, 2009, 2.5).
 Each row carries sigma.T from step to step, since it is linear in sigma, so an
 iteration reads the couplings twice: once in the gradient, once for v.T.
 
-CG converges linearly.  A row whose gradient norm per sqrt(n) is at most
-1e-3 and whose tangent Hessian is negative definite takes the Riemannian
-Newton direction instead (Absil et al., ch. 6), along the same line search,
-and converges quadratically: about two steps to the tolerance.  Its Hessian
-costs two more reads of the couplings at p >= 3, none at p = 2; the other
-rows keep their CG direction.
+CG converges linearly.  At p >= 3, a row whose gradient norm per sqrt(n) is
+at most 1e-3 and whose tangent Hessian is negative definite takes the
+Riemannian Newton direction instead (Absil et al., ch. 6), along the same
+line search, and converges quadratically: about two steps to the tolerance.
+Its Hessian costs two more reads of the couplings, and the n x n solve
+about n^3 flops, as much as one read at p = 3 and less above; the other rows
+keep their CG direction.  At p = 2 an iteration costs only n^2 per row, far
+less than the solve, so CG finishes there.
 """
 
 from __future__ import annotations
@@ -119,11 +121,9 @@ def _hessian(J: DisorderTensor, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     against x, and their transposes.  Pair (0, p-1) comes from KR_(p-2)(x)
     against the middle slots, pairs (0, s < p-1) from the couplings against x
     on slot p-1, and pairs among slots 1..p-1 from ts without a read: two reads
-    at p >= 3, none at p = 2, where the Hessian is c (T + T^T).
+    of the couplings.  Needs p >= 3.
     """
     n, p, T = J.n, J.p, J.entries.reshape(J.n, -1)
-    if p == 2:
-        return np.repeat(J.norm_factor * (T + T.T)[None], len(x), axis=0)
     q = p - 1
     hess = np.matmul(_kr_powers(x, p - 2)[-1], T.reshape(n, -1, n)).transpose(1, 0, 2)
     for block in _pair_blocks(x @ T.reshape(-1, n).T, x, q, [(0, b) for b in range(1, q)]):
@@ -150,13 +150,17 @@ def _newton_directions(J: DisorderTensor, x: np.ndarray, ts: np.ndarray, h: np.n
     B -= x[:, :, None] * Bx[:, None, :]
     B -= Bx[:, :, None] * x[:, None, :]
     B += ((Bx * x).sum(axis=1) - 1)[:, None, None] * (x[:, :, None] * x[:, None, :]) / n
-    eta, ok = np.zeros_like(x), np.zeros(len(x), dtype=bool)
+    B *= -1  # now -B, positive definite at the rows near a maximum
+    ok = np.zeros(len(x), dtype=bool)
     for row in range(len(x)):
         try:
-            L = np.linalg.cholesky(-B[row])
+            np.linalg.cholesky(B[row])
         except np.linalg.LinAlgError:  # not near a maximum: the row keeps its CG direction
             continue
-        eta[row], ok[row] = np.linalg.solve(L.T, np.linalg.solve(L, tangent[row])), True
+        ok[row] = True
+    eta = np.zeros_like(x)
+    if ok.any():
+        eta[ok] = np.linalg.solve(B[ok], tangent[ok][:, :, None])[:, :, 0]
     return eta, ok
 
 
@@ -202,8 +206,10 @@ def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
         carried = prev_dir - ((prev_dir * sigma).sum(axis=1) / n)[:, None] * sigma
         direction = tangent + beta[:, None] * carried
         direction = np.where(((direction * tangent).sum(axis=1) > 0)[:, None], direction, tangent)
-        near = np.flatnonzero(gnorm[keep] <= _NEWTON_GNORM)
-        if near.size:  # a Newton direction, where the tangent Hessian is negative definite
+        # a Newton direction, where the tangent Hessian is negative definite; at p = 2 an
+        # iteration costs n^2 per row against n^3 for a solve, so CG finishes the ascent there
+        near = np.flatnonzero(gnorm[keep] <= _NEWTON_GNORM) if p > 2 else []
+        if len(near):
             eta, ok = _newton_directions(J, sigma[near], ts[near], h[near], tangent[near])
             direction[near[ok]] = eta[ok]
             newton[live[near[ok]]] += 1

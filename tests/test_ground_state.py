@@ -144,7 +144,7 @@ class TestLineSearch:
 
 
 class TestNewton:
-    @pytest.mark.parametrize("p, n", [(2, 9), (3, 7), (4, 6), (5, 5), (3, 2)])
+    @pytest.mark.parametrize("p, n", [(3, 7), (4, 6), (5, 5), (3, 2)])
     def test_hessian_matches_einsum_oracle(self, p, n):
         # the defining sum over ordered pairs of distinct slots, the others against sigma
         J = sample_disorder(n, p, seed=60 + p)
@@ -156,8 +156,7 @@ class TestNewton:
             for b in axes:
                 if a != b:
                     others = [c for c in axes if c not in (a, b)]
-                    rows = "r" if others else ""  # at p = 2 every row has the same Hessian
-                    subscripts = ",".join([axes] + ["r" + c for c in others]) + "->" + rows + a + b
+                    subscripts = ",".join([axes] + ["r" + c for c in others]) + "->r" + a + b
                     oracle += np.einsum(subscripts, J.tensor(), *[sigma] * len(others))
         hess = ground_state._hessian(J, sigma, sigma @ J.entries.reshape(n, -1))
         np.testing.assert_allclose(hess, J.norm_factor * oracle, rtol=1e-12)
@@ -165,12 +164,12 @@ class TestNewton:
     @pytest.mark.parametrize("top, newton_steps", [(True, 1), (False, 0)])
     def test_newton_only_where_the_tangent_hessian_is_negative_definite(
             self, monkeypatch, top, newton_steps):
-        # at p=2 the Riemannian Hessian at an eigenvector of (T + T^T)/2 is negative
-        # definite only at the top one; a nudge puts the gradient norm between tol and 1e-3
+        # at odd p the energy is odd, so -sigma is a local minimum wherever sigma is a local
+        # maximum, with the same tangent gradient; a nudge puts its norm between tol and 1e-3
         n, tol = 12, 1e-7
-        J = sample_disorder(n, 2, seed=21)
-        vectors = np.linalg.eigh((J.tensor() + J.tensor().T) / 2)[1]
-        x = vectors[:, -1 if top else -2] + 1e-5 * np.random.default_rng(3).standard_normal(n)
+        J = sample_disorder(n, 3, seed=21)
+        peak = ground_state_search(J, restarts=1, tol=1e-12, seed=0).sigma
+        x = (1 if top else -1) * peak + 1e-5 * np.random.default_rng(3).standard_normal(n)
         sigma = (x * np.sqrt(n) / np.linalg.norm(x))[None]
         g = gradient(J, sigma[0])
         assert tol < np.linalg.norm(g - (g @ sigma[0] / n) * sigma[0]) / np.sqrt(n) < 1e-3
@@ -179,9 +178,31 @@ class TestNewton:
         cg_final, _, cg_gnorm, _, _, cg_newton = ground_state._ascend(J, sigma, 1, tol)
         assert list(newton) == [newton_steps] and list(cg_newton) == [0]
         if top:  # quadratic convergence where CG gains a factor of a few
-            assert gnorm[0] < 1e-12 < 1e-6 < cg_gnorm[0]
+            assert gnorm[0] < 1e-8 < 1e-6 < cg_gnorm[0]
         else:  # the PR+ step, to the bit
             assert np.array_equal(final, cg_final) and np.array_equal(gnorm, cg_gnorm)
+
+    def test_p2_takes_no_newton_step_and_bounds_memory(self, monkeypatch):
+        # a p = 2 iteration costs n^2 per row, so CG finishes: an n x n Hessian per row
+        # would cost more than the iterations it saves and outgrow the chunk's prefixes
+        n = 40
+        J = sample_disorder(n, 2, seed=5)
+        whole = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
+        block = 3 * n  # three rows of prefix per chunk
+        monkeypatch.setattr(ground_state, "_BLOCK_ENTRIES", block)
+        tracemalloc.start()
+        try:
+            split = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(split.restart_stop_reasons) == {"tol"}
+        assert whole.restart_newton_steps == split.restart_newton_steps == (0,) * 7
+        np.testing.assert_allclose(split.restart_energies, whole.restart_energies,
+                                   rtol=0, atol=1e-12)
+        # rows of n (the chunk's working arrays, the restarts' starts and ends) over a fixed
+        # cost, near 28 KB; three Hessians would add 38 KB
+        assert peak <= 16 * 1024 + 32 * 8 * block
 
     def test_quadratic_finish(self):
         # the gstate-p3-n64 configuration: each restart ends on a few Newton steps
