@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,20 +42,9 @@ from .simulator import (
     thermo_integration,
 )
 
-@dataclass
-class RunConfig:
-    command: str
-    p: int
-    beta_grid: list[float] | None = None
-    n: int | None = None
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
-    options: dict = field(default_factory=dict)
-
-
 def parse_beta_grid(spec: str) -> list[float]:
-    """Grid spec: 'min:max:step' (inclusive endpoints), comma list, or scalar."""
+    """Grid spec: 'min:max:step' (inclusive endpoints), comma list, or scalar; all finite."""
+    not_finite = ValueError(f"grid spec {spec!r}: values and point count must be finite")
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -64,7 +52,10 @@ def parse_beta_grid(spec: str) -> list[float]:
         lo, hi, step = (float(x) for x in parts)
         if step <= 0.0 or hi < lo:
             raise ValueError(f"bad grid spec {spec!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step
+        if not all(map(math.isfinite, (lo, hi, step, span))):  # span counts the points
+            raise not_finite
+        count = int(math.floor(span + 1e-9)) + 1
         grid = [lo + i * step for i in range(count)]
         if grid[-1] < hi - 1e-9 * max(1.0, abs(hi)):
             grid.append(hi)
@@ -72,22 +63,23 @@ def parse_beta_grid(spec: str) -> list[float]:
     grid = [float(x) for x in spec.split(",") if x.strip()]
     if not grid:
         raise ValueError(f"empty grid spec {spec!r}")
+    if not all(map(math.isfinite, grid)):
+        raise not_finite
     return grid
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PSPIN_SEED", "0"))
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and its subparser for each command."""
     parser = argparse.ArgumentParser(
         prog="pspin",
         description="TAP thermodynamics of spherical pure p-spin models and a finite-N Monte Carlo cross-check.",
     )
     parser.add_argument("--config", help="JSON file of default option values (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_common(sp, *, needs_n=False):
+    def add_command(name, help, *, needs_n=False):
+        sp = commands[name] = sub.add_parser(name, help=help)
         sp.add_argument("--p", type=int, required=True, help="interaction degree, p >= 2")
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: PSPIN_SEED or 0)")
@@ -97,35 +89,30 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--n", type=int, required=True, help="system dimension N")
             sp.add_argument("--disorder-file", default=None,
                             help="binary tensor file: loaded if present, else sampled and saved")
+        return sp
 
-    sp = sub.add_parser("critical", help="solved critical triple with residuals")
-    add_common(sp)
+    add_command("critical", "solved critical triple with residuals")
 
-    sp = sub.add_parser("sweep", help="overlap and free energy on a beta grid")
-    add_common(sp)
+    sp = add_command("sweep", "overlap and free energy on a beta grid")
     sp.add_argument("--beta", default="0:5:0.01",
                     help="grid: min:max:step (inclusive) or comma list")
 
-    sp = sub.add_parser("gstate", help="ground-state search")
-    add_common(sp, needs_n=True)
+    sp = add_command("gstate", "ground-state search", needs_n=True)
     sp.add_argument("--restarts", type=int, default=50)
     sp.add_argument("--max-iters", type=int, default=2000)
     sp.add_argument("--tol", type=float, default=1e-7, help="tangential gradient tolerance")
 
-    sp = sub.add_parser("mc-verify", help="covariance and gradient checks")
-    add_common(sp, needs_n=True)
+    sp = add_command("mc-verify", "covariance and gradient checks", needs_n=True)
     sp.add_argument("--draws", type=int, default=100_000, help="disorder draws per covariance pair")
     sp.add_argument("--trials", type=int, default=20, help="gradient finite-difference trials")
 
-    sp = sub.add_parser("thermo", help="thermodynamic-integration free energy")
-    add_common(sp, needs_n=True)
+    sp = add_command("thermo", "thermodynamic-integration free energy", needs_n=True)
     sp.add_argument("--beta-max", type=float, default=1.0)
     sp.add_argument("--rungs", type=int, default=13)
     sp.add_argument("--sweeps", type=int, default=1500, help="recorded measurement sweeps")
     sp.add_argument("--burn-in", type=int, default=500)
 
-    sp = sub.add_parser("probe", help="replica pairwise-overlap histogram")
-    add_common(sp, needs_n=True)
+    sp = add_command("probe", "replica pairwise-overlap histogram", needs_n=True)
     sp.add_argument("--beta", type=float, default=None,
                     help="probed inverse temperature (default: 2 beta_c)")
     sp.add_argument("--k", type=int, default=4, help="number of independent replicas")
@@ -133,60 +120,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sweeps", type=int, default=1000, help="recorded measurement sweeps")
     sp.add_argument("--burn-in", type=int, default=500)
     sp.add_argument("--bins", type=int, default=80)
-    return parser
+    return parser, commands
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config defaults into the matching subparser; flags still win."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if path is None:
-        return argv
-    with open(path) as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        parser.error(f"config file {path} must hold a JSON object")
-    command = next((a for a in argv if a in COMMANDS), None)
-    if command is None:
-        parser.error("config file given but no command named on the command line")
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sp = sub_actions.choices[command]
-    known = {a.dest for a in sp._actions}
-    defaults = {}
-    for key, value in values.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"unknown config key {key!r} for command {command!r}")
-        defaults[dest] = value
-    sp.set_defaults(**defaults)
-    return argv
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Parse flags into the run's namespace, with ``seed`` resolved and ``beta_grid`` set.
 
-
-def parse_config(argv: list[str]) -> RunConfig:
-    """Parse flags (and an optional JSON config file) into a RunConfig."""
-    parser = _build_parser()
-    argv = _apply_config_file(parser, argv)
+    A ``--config`` JSON file's keys become defaults of the chosen command; flags still win.
+    """
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
+    if ns.config is not None:
+        try:
+            with open(ns.config) as fh:
+                values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config file {ns.config}: {exc}")
+        if not isinstance(values, dict):
+            parser.error(f"config file {ns.config} must hold a JSON object")
+        known = set(vars(ns)) - {"command", "config"}  # the chosen command's options
+        for key in values:
+            if key.replace("-", "_") not in known:
+                parser.error(f"unknown config key {key!r} for command {ns.command!r}")
+        commands[ns.command].set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
+        ns = parser.parse_args(argv)
 
     if ns.p < 2:
         parser.error(f"--p must be >= 2, got {ns.p}")
-    seed = ns.seed if ns.seed is not None else _default_seed()
+    if ns.seed is None:
+        ns.seed = int(os.environ.get("PSPIN_SEED", "0"))
 
-    beta_grid = None
+    ns.beta_grid = None
     if ns.command == "sweep":
         try:
-            beta_grid = parse_beta_grid(str(ns.beta))
+            ns.beta_grid = parse_beta_grid(str(ns.beta))
         except ValueError as exc:
             parser.error(str(exc))
-        if any(b < 0 for b in beta_grid):
+        if any(b < 0 for b in ns.beta_grid):
             parser.error("--beta grid must be nonnegative")
-        if any(b2 <= b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
+        if any(b2 <= b1 for b1, b2 in zip(ns.beta_grid, ns.beta_grid[1:])):
             parser.error("--beta grid must be strictly increasing")
 
     n = getattr(ns, "n", None)
@@ -203,22 +175,7 @@ def parse_config(argv: list[str]) -> RunConfig:
                         ("sweeps", 1), ("restarts", 1), ("trials", 0), ("draws", 1000)):
         if getattr(ns, dest, least) < least:
             parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")
-
-    skip = {"command", "config", "p", "seed", "output", "format", "n", "beta"}
-    options = {k: v for k, v in vars(ns).items() if k not in skip}
-    if ns.command == "probe":
-        options["beta"] = ns.beta
-
-    return RunConfig(
-        command=ns.command,
-        p=ns.p,
-        beta_grid=beta_grid,
-        n=n,
-        seed=seed,
-        output_path=ns.output,
-        format=ns.format,
-        options=options,
-    )
+    return ns
 
 
 def _fmt_cell(value) -> str:
@@ -281,22 +238,29 @@ def emit(records: list[dict], meta: dict, fmt: str, path: str | None) -> None:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc
 
 
-def _meta(config: RunConfig) -> dict:
+# namespace entries the meta block reports outside "options"
+_NOT_OPTIONS = {"command", "config", "p", "seed", "output", "format", "n", "beta", "beta_grid"}
+
+
+def _meta(config: argparse.Namespace) -> dict:
+    options = {k: v for k, v in vars(config).items() if k not in _NOT_OPTIONS}
+    if config.command == "probe":
+        options["beta"] = config.beta  # last, after the command's own options
     return {
         "version": __version__,
         "command": config.command,
         "p": config.p,
-        "n": config.n,
+        "n": getattr(config, "n", None),
         "seed": config.seed,
         "beta_grid": config.beta_grid,
         "format": config.format,
-        "options": {k: v for k, v in config.options.items() if v is not None},
+        "options": {k: v for k, v in options.items() if v is not None},
     }
 
 
-def _get_disorder(config: RunConfig) -> tuple[DisorderTensor, dict]:
+def _get_disorder(config: argparse.Namespace) -> tuple[DisorderTensor, dict]:
     """The coupling tensor and where it came from, for ``meta["disorder"]``."""
-    path = config.options.get("disorder_file")
+    path = config.disorder_file
     if path and os.path.exists(path):
         J = load_disorder(path)
         if J.n != config.n or J.p != config.p:
@@ -310,7 +274,7 @@ def _get_disorder(config: RunConfig) -> tuple[DisorderTensor, dict]:
     return J, {"source": "seed", "seed": config.seed}
 
 
-def _run_critical(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_critical(config: argparse.Namespace) -> tuple[list[dict], dict]:
     cp = solve_critical(config.p)
     if config.p >= 3:
         res = residuals_prop(config.p, cp.beta_c, cp.q_c, cp.e_star)
@@ -337,8 +301,8 @@ def _run_critical(config: RunConfig) -> tuple[list[dict], dict]:
     ], {}
 
 
-def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
-    grid = list(config.beta_grid)
+def _run_sweep(config: argparse.Namespace) -> tuple[list[dict], dict]:
+    grid = config.beta_grid
     beta_c = solve_critical(config.p).beta_c
     if grid[0] < beta_c < grid[-1] and beta_c not in grid:
         grid = sorted(grid + [beta_c])
@@ -354,13 +318,13 @@ def _run_sweep(config: RunConfig) -> tuple[list[dict], dict]:
     ], {}
 
 
-def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_gstate(config: argparse.Namespace) -> tuple[list[dict], dict]:
     J, source = _get_disorder(config)
     result = ground_state_search(
         J,
-        restarts=config.options["restarts"],
-        max_iters=config.options["max_iters"],
-        tol=config.options["tol"],
+        restarts=config.restarts,
+        max_iters=config.max_iters,
+        tol=config.tol,
         seed=config.seed,
     )
     best = int(np.argmax(result.restart_energies))
@@ -389,7 +353,7 @@ def _run_gstate(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, extra
 
 
-def _run_mc_verify(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_mc_verify(config: argparse.Namespace) -> tuple[list[dict], dict]:
     n, p = config.n, config.p
     root = np.sqrt(float(n))
     e1 = np.zeros(n)
@@ -399,7 +363,7 @@ def _run_mc_verify(config: RunConfig) -> tuple[list[dict], dict]:
     half = root * np.concatenate(([0.5, np.sqrt(0.75)], np.zeros(n - 2)))
     pairs = [(e1, e2), (e1, half), (e1, e1)]
     rows = []
-    for row in covariance_check(n, p, pairs, draws=config.options["draws"], seed=config.seed):
+    for row in covariance_check(n, p, pairs, draws=config.draws, seed=config.seed):
         rows.append(
             {
                 "check": "covariance",
@@ -410,7 +374,7 @@ def _run_mc_verify(config: RunConfig) -> tuple[list[dict], dict]:
                 "z": row.z,
             }
         )
-    for row in gradient_fd_check(trials=config.options["trials"], seed=config.seed):
+    for row in gradient_fd_check(trials=config.trials, seed=config.seed):
         rows.append(
             {
                 "check": "gradient_fd",
@@ -424,15 +388,15 @@ def _run_mc_verify(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_thermo(config: argparse.Namespace) -> tuple[list[dict], dict]:
     J, source = _get_disorder(config)
     beta_c = solve_critical(config.p).beta_c
-    ladder = default_ladder(config.options["beta_max"], config.options["rungs"], beta_c=beta_c)
+    ladder = default_ladder(config.beta_max, config.rungs, beta_c=beta_c)
     ens = TemperingEnsemble(J, ladder, seed=np.random.SeedSequence((config.seed, 201)))
-    if config.options["burn_in"] > 0:
-        tempering_sweep(ens, config.options["burn_in"], record=False)
+    if config.burn_in > 0:
+        tempering_sweep(ens, config.burn_in, record=False)
     ens.freeze()
-    tempering_sweep(ens, config.options["sweeps"], record=True)
+    tempering_sweep(ens, config.sweeps, record=True)
     rows = []
     for pt in thermo_integration(ens):
         rows.append(
@@ -449,21 +413,21 @@ def _run_thermo(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {"disorder": source, "ladder": ladder, "sampler": ens.sampler_meta()}
 
 
-def _run_probe(config: RunConfig) -> tuple[list[dict], dict]:
+def _run_probe(config: argparse.Namespace) -> tuple[list[dict], dict]:
     J, source = _get_disorder(config)
     cp = solve_critical(config.p)
-    beta = config.options.get("beta")
+    beta = config.beta
     if beta is None:
         beta = 2.0 * cp.beta_c
-    ladder = default_ladder(beta, config.options["rungs"], beta_c=cp.beta_c)
+    ladder = default_ladder(beta, config.rungs, beta_c=cp.beta_c)
     template = TemperingEnsemble(J, ladder, seed=np.random.SeedSequence((config.seed, 202)))
     hist = overlap_probe(
         template,
-        k=config.options["k"],
+        k=config.k,
         beta_index=len(ladder) - 1,
-        sweeps=config.options["sweeps"],
-        burn_in=config.options["burn_in"],
-        bins=config.options["bins"],
+        sweeps=config.sweeps,
+        burn_in=config.burn_in,
+        bins=config.bins,
     )
     sol = free_energy(config.p, beta)
     rows = [
@@ -493,18 +457,15 @@ RUNNERS = {
     "thermo": _run_thermo,
     "probe": _run_probe,
 }
-COMMANDS = tuple(RUNNERS)
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute a namespace from ``parse_config``; returns the process exit code."""
     meta = _meta(config)
     try:
-        if config.command not in RUNNERS:
-            raise ValueError(f"unknown command {config.command!r}")
         records, extra = RUNNERS[config.command](config)
         meta.update(extra)
-        emit(records, meta, config.format, config.output_path)
+        emit(records, meta, config.format, config.output)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"pspin {config.command}: {exc}", file=sys.stderr)
         return 1

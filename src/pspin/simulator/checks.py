@@ -21,6 +21,7 @@ from .disorder import (
     sample_disorder,
 )
 
+_BLOCK_DRAWS = 2000  # disorder draws per block, at most
 _BLOCK_ENTRIES = 2**22  # couplings drawn per block, unless one draw alone is larger
 _FD_DEGREES = (2, 3, 4)  # p of the gradient trials, in turn
 _FD_LARGEST_N = 16  # each trial draws n uniformly from 4 to this
@@ -43,14 +44,13 @@ def covariance_check(
     pairs: list[tuple[np.ndarray, np.ndarray]],
     draws: int = 100_000,
     seed: int = 0,
-    block: int = 2000,
 ) -> list[CovarianceRow]:
     """z-scores of the empirical energy covariance against n R^p.
 
     One stream of disorder draws is shared by all pairs: each block of
     couplings is contracted against every configuration at once, which keeps
     the per-pair estimates exact while doing a single pass over the
-    randomness.  A block holds at most ``block`` draws and at most 2^22
+    randomness.  A block holds at most 2000 draws and at most 2^22
     couplings (one draw if n^p is larger); its size changes the estimates
     only by summation rounding.
     """
@@ -72,7 +72,7 @@ def covariance_check(
     sums = np.zeros(m)
     sq_sums = np.zeros(m)
     done = 0
-    rows = max(1, min(block, _BLOCK_ENTRIES // count))  # bounds the memory of a block
+    rows = max(1, min(_BLOCK_DRAWS, _BLOCK_ENTRIES // count))  # bounds the memory of a block
     while done < draws:
         b = min(rows, draws - done)
         z = gen.standard_normal((b, count))

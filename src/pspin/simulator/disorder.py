@@ -39,7 +39,7 @@ _HEADER = struct.Struct("<4sHIH4x")  # magic, version u16, N u32, p u16, padding
 
 
 class DisorderSizeError(ValueError):
-    """Requested tensor exceeds the configured entry budget."""
+    """Requested tensor exceeds ``DEFAULT_ENTRY_BUDGET`` entries."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,19 +82,17 @@ class DisorderTensor:
         return out
 
 
-def sample_disorder(
-    n: int, p: int, seed: int, max_entries: int = DEFAULT_ENTRY_BUDGET
-) -> DisorderTensor:
+def sample_disorder(n: int, p: int, seed: int) -> DisorderTensor:
     """Draw one disorder realization, deterministic in (n, p, seed)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     count = n**p
-    if count > max_entries:
+    if count > DEFAULT_ENTRY_BUDGET:
         raise DisorderSizeError(
             f"n^p = {count} entries ({8 * count} bytes) exceeds the budget of "
-            f"{max_entries} entries"
+            f"{DEFAULT_ENTRY_BUDGET} entries"
         )
     gen = np.random.Generator(np.random.Philox(key=seed))
     entries = gen.standard_normal(count)
@@ -215,6 +213,8 @@ def load_disorder(path: str) -> DisorderTensor:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if n < 2 or p < 2:
+            raise ValueError(f"{path}: header holds n={n}, p={p}; both must be >= 2")
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) / 8
         if found != n**p:  # checked before reading, so a bad header allocates nothing
             raise ValueError(f"{path}: expected {n**p} entries for n={n}, p={p}, found {found:g}")

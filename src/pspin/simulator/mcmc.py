@@ -76,6 +76,8 @@ class TemperingEnsemble:
         betas = np.asarray(betas, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta ladder must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("beta ladder must be finite")
         if np.any(betas < 0.0):
             raise ValueError("beta ladder must be nonnegative")
         if betas.size > 1 and np.any(np.diff(betas) <= 0.0):

@@ -34,10 +34,12 @@ class TestCovarianceCheck:
         b = covariance_check(8, 3, pairs, draws=2000, seed=5)
         assert [r.estimate for r in a] == [r.estimate for r in b]
 
-    def test_block_size_does_not_change_estimates(self):
+    def test_block_size_does_not_change_estimates(self, monkeypatch):
         pairs = exact_pairs(8)
-        a = covariance_check(8, 3, pairs, draws=3000, seed=5, block=512)
-        b = covariance_check(8, 3, pairs, draws=3000, seed=5, block=3000)
+        monkeypatch.setattr(checks, "_BLOCK_DRAWS", 512)
+        a = covariance_check(8, 3, pairs, draws=3000, seed=5)
+        monkeypatch.setattr(checks, "_BLOCK_DRAWS", 3000)
+        b = covariance_check(8, 3, pairs, draws=3000, seed=5)
         for ra, rb in zip(a, b):
             assert ra.estimate == pytest.approx(rb.estimate, rel=1e-12)
 
@@ -46,7 +48,7 @@ class TestCovarianceCheck:
         pairs = exact_pairs(16)
         capped = covariance_check(16, 3, pairs, draws=2000, seed=5)
         monkeypatch.setattr(checks, "_BLOCK_ENTRIES", 2000 * 16**3)
-        whole = covariance_check(16, 3, pairs, draws=2000, seed=5, block=2000)
+        whole = covariance_check(16, 3, pairs, draws=2000, seed=5)
         for rc, rw in zip(capped, whole):
             assert rc.estimate == pytest.approx(rw.estimate, rel=1e-12)
             assert rc.stderr == pytest.approx(rw.stderr, rel=1e-12)

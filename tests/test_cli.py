@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from pspin.cli import COMMANDS, RunConfig, emit, main, parse_beta_grid, parse_config
+from pspin.cli import RUNNERS, emit, main, parse_beta_grid, parse_config
 
 
 def run_cli(*args):
@@ -39,12 +39,15 @@ class TestGridParsing:
             parse_beta_grid("1:2")
         with pytest.raises(ValueError):
             parse_beta_grid("2:1:0.1")
+        for spec in ("nan", "0,inf", "0:inf:1", "inf:inf:1", "0:1:nan", "0:1e300:1e-300"):
+            with pytest.raises(ValueError, match="must be finite"):
+                parse_beta_grid(spec)
 
 
 class TestParseConfig:
     def test_critical_defaults(self):
         cfg = parse_config(["critical", "--p", "3"])
-        assert cfg == RunConfig(command="critical", p=3, seed=0, options={})
+        assert (cfg.command, cfg.p, cfg.seed, cfg.beta_grid) == ("critical", 3, 0, None)
         with pytest.raises(SystemExit) as exc:
             parse_config(["critical", "--p", "3", "--tol", "1e-7"])
         assert exc.value.code == 2
@@ -61,14 +64,22 @@ class TestParseConfig:
         ["thermo", "--beta-max", "nan"],
         ["probe", "--beta", "inf"],
         ["probe", "--beta", "nan"],
+        ["sweep", "--beta", "nan"],
+        ["sweep", "--beta", "0,inf"],
+        ["sweep", "--beta", "0:inf:1"],
+        ["sweep", "--beta", "0:1e300:1e-300"],
     ])
     def test_values_not_finite_are_usage_errors(self, argv, capsys):
         # nan kept every gstate restart to max_iters, inf stopped each at
-        # iteration 0; a thermo ladder to inf ran its chains on NaN kicks
+        # iteration 0; a thermo ladder to inf ran its chains on NaN kicks; a
+        # sweep grid failed in free_energy, or overflowed counting its points
+        sweep = argv[0] == "sweep"
         with pytest.raises(SystemExit) as exc:
-            parse_config([*argv[:1], "--p", "3", "--n", "8", *argv[1:]])
+            parse_config([*argv[:1], "--p", "3", *([] if sweep else ["--n", "8"]), *argv[1:]])
         assert exc.value.code == 2
-        assert f"{argv[1]} must be finite" in capsys.readouterr().err
+        expected = (f"grid spec {argv[2]!r}: values and point count must be finite" if sweep
+                    else f"{argv[1]} must be finite")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["gstate", "--max-iters", "-1"],
@@ -95,11 +106,11 @@ class TestParseConfig:
 
     def test_zero_max_iters_and_burn_in_are_allowed(self):
         cfg = parse_config(["gstate", "--p", "3", "--n", "8", "--max-iters", "0"])
-        assert cfg.options["max_iters"] == 0
+        assert cfg.max_iters == 0
         cfg = parse_config(["probe", "--p", "3", "--n", "8", "--burn-in", "0", "--bins", "1"])
-        assert (cfg.options["burn_in"], cfg.options["bins"]) == (0, 1)
+        assert (cfg.burn_in, cfg.bins) == (0, 1)
         cfg = parse_config(["mc-verify", "--p", "3", "--n", "8", "--trials", "0"])
-        assert cfg.options["trials"] == 0
+        assert cfg.trials == 0
 
     def test_sweep_grid(self):
         cfg = parse_config(["sweep", "--p", "3", "--beta", "0:5:0.01"])
@@ -132,6 +143,32 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse_config(["--config", str(path), "sweep", "--p", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file {path}: [Errno 2]"),
+        ("{bad", "cannot read config file {path}: Expecting property name"),
+        ("[1, 2]", "config file {path} must hold a JSON object"),
+        ('{"command": "probe"}', "unknown config key 'command'"),
+        ('{"config": "other.json"}', "unknown config key 'config'"),
+    ])
+    def test_config_file_errors_are_usage_errors(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--config", str(path), "critical", "--p", "3"])
+        assert exc.value.code == 2
+        assert message.format(path=path) in capsys.readouterr().err
+
+    def test_config_keys_bind_to_the_chosen_command(self, tmp_path, monkeypatch):
+        # a config file named like a command must not be taken for the command
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep").write_text(json.dumps({"restarts": 3, "max-iters": 40}))
+        cfg = parse_config(["--config", "sweep", "gstate", "--p", "3", "--n", "8"])
+        assert (cfg.command, cfg.restarts, cfg.max_iters) == ("gstate", 3, 40)
+        cfg = parse_config(["--config", "sweep", "gstate", "--p", "3", "--n", "8",
+                            "--restarts", "5"])
+        assert (cfg.restarts, cfg.max_iters) == (5, 40)
 
 
 class TestEmit:
@@ -278,11 +315,23 @@ class TestCommands:
             "thermo": ["--n", "4", "--rungs", "2", "--sweeps", "2", "--burn-in", "0"],
             "probe": ["--n", "4", "--k", "2", "--rungs", "2", "--sweeps", "2", "--burn-in", "0"],
         }
-        assert set(small) == set(COMMANDS)
+        assert set(small) == set(RUNNERS)
         out = tmp_path / "m.json"
         for command, args in small.items():
             assert main([command, "--p", "3", *args, "--format", "json", "-o", str(out)]) == 0
             assert "tolerances" not in json.loads(out.read_text())["meta"], command
+
+    def test_probe_beta_is_the_last_option(self, tmp_path):
+        # JSON keeps key order: the probed beta follows the probe's own options
+        out = tmp_path / "p.json"
+        args = ["probe", "--p", "3", "--n", "4", "--k", "2", "--rungs", "2", "--sweeps", "2",
+                "--burn-in", "0", "--format", "json", "-o", str(out)]
+        assert main([*args, "--beta", "1.5"]) == 0
+        options = json.loads(out.read_text())["meta"]["options"]
+        assert list(options) == ["k", "rungs", "sweeps", "burn_in", "bins", "beta"]
+        assert options["beta"] == 1.5
+        assert main(args) == 0
+        assert "beta" not in json.loads(out.read_text())["meta"]["options"]
 
     def test_mc_verify_rows(self):
         proc = run_cli(

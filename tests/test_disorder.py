@@ -47,8 +47,9 @@ class TestSampling:
         assert 0.93 <= J.entries.var() <= 1.07
 
     def test_budget_error_reports_bytes(self):
-        with pytest.raises(DisorderSizeError, match=str(8 * 32**4)):
-            sample_disorder(32, 4, seed=0, max_entries=10**6)
+        # 2^32 entries, over the budget of 2^31: raised before any draw
+        with pytest.raises(DisorderSizeError, match=str(8 * 2**32)):
+            sample_disorder(2**16, 2, seed=0)
 
 
 class TestSphere:
@@ -273,6 +274,14 @@ class TestPersistence:
             load_disorder(str(path))
         path.write_bytes(struct.pack("<4sHIH4x", b"PSPN", 1, 4, 2) + b"\x00" * 24)
         with pytest.raises(ValueError, match="expected 16 entries"):
+            load_disorder(str(path))
+
+    @pytest.mark.parametrize("n, p", [(1, 3), (5, 0), (0, 2), (4, 1)])
+    def test_rejects_degenerate_header(self, tmp_path, n, p):
+        # a one-spin file once loaded, and a p=0 file loaded and failed in hamiltonian
+        path = tmp_path / "small.bin"
+        path.write_bytes(struct.pack("<4sHIH4x", b"PSPN", 1, n, p) + b"\x00" * (8 * n**p))
+        with pytest.raises(ValueError, match=f"n={n}, p={p}; both must be >= 2"):
             load_disorder(str(path))
 
     def test_size_checked_before_reading(self, tmp_path):

@@ -32,6 +32,10 @@ class TestEnsembleBasics:
             TemperingEnsemble(J, [0.4, 0.4], seed=0)
         with pytest.raises(ValueError):
             TemperingEnsemble(J, [-0.1, 0.5], seed=0)
+        # a NaN rung once ran with a NaN step size and never moved
+        for betas in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                TemperingEnsemble(J, betas, seed=0)
 
     def test_initial_configurations_on_sphere(self):
         ens = make_ensemble()
