@@ -42,8 +42,13 @@ from .simulator import (
     thermo_integration,
 )
 
+FORMATS = ("csv", "json")
+MAX_GRID_POINTS = 100_000  # in a 'min:max:step' grid spec
+
+
 def parse_beta_grid(spec: str) -> list[float]:
-    """Grid spec: 'min:max:step' (inclusive endpoints), comma list, or scalar; all finite."""
+    """Grid spec: 'min:max:step' (inclusive endpoints, at most MAX_GRID_POINTS), comma list,
+    or scalar; all finite."""
     not_finite = ValueError(f"grid spec {spec!r}: values and point count must be finite")
     if ":" in spec:
         parts = spec.split(":")
@@ -55,6 +60,8 @@ def parse_beta_grid(spec: str) -> list[float]:
         span = (hi - lo) / step
         if not all(map(math.isfinite, (lo, hi, step, span))):  # span counts the points
             raise not_finite
+        if span > MAX_GRID_POINTS - 1:  # checked before any list is built
+            raise ValueError(f"grid spec {spec!r} holds more than {MAX_GRID_POINTS} points")
         count = int(math.floor(span + 1e-9)) + 1
         grid = [lo + i * step for i in range(count)]
         if grid[-1] < hi - 1e-9 * max(1.0, abs(hi)):
@@ -84,7 +91,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: PSPIN_SEED or 0)")
         sp.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--format", choices=FORMATS, default="csv")
         if needs_n:
             sp.add_argument("--n", type=int, required=True, help="system dimension N")
             sp.add_argument("--disorder-file", default=None,
@@ -139,11 +146,17 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         if not isinstance(values, dict):
             parser.error(f"config file {ns.config} must hold a JSON object")
         known = set(vars(ns)) - {"command", "config"}  # the chosen command's options
-        for key in values:
+        for key, value in values.items():
             if key.replace("-", "_") not in known:
                 parser.error(f"unknown config key {key!r} for command {ns.command!r}")
-        commands[ns.command].set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
+            if isinstance(value, (bool, list, dict)):
+                parser.error(f"config key {key!r} must hold a string, a number or null")
+        # argparse runs string defaults through each option's type, as it does a flag's value
+        commands[ns.command].set_defaults(
+            **{k.replace("-", "_"): v if v is None else str(v) for k, v in values.items()})
         ns = parser.parse_args(argv)
+        if ns.format not in FORMATS:  # argparse checks choices, --format's only, on flags alone
+            parser.error(f"argument --format: invalid choice: {ns.format!r} (choose from {FORMATS})")
 
     if ns.p < 2:
         parser.error(f"--p must be >= 2, got {ns.p}")
@@ -286,19 +299,8 @@ def _run_critical(config: argparse.Namespace) -> tuple[list[dict], dict]:
         r_iia = 0.0
         r_iib = 0.0
         residual_p2 = p2_betac_residual(cp.beta_c)
-    return [
-        {
-            "p": cp.p,
-            "q_c": cp.q_c,
-            "beta_c": cp.beta_c,
-            "e_star": cp.e_star,
-            "e_inf": cp.e_inf,
-            "r_I": r_i,
-            "r_IIa": r_iia,
-            "r_IIb": r_iib,
-            "residual_p2": residual_p2,
-        }
-    ], {}
+    return [{"p": cp.p, "q_c": cp.q_c, "beta_c": cp.beta_c, "e_star": cp.e_star, "e_inf": cp.e_inf,
+             "r_I": r_i, "r_IIa": r_iia, "r_IIb": r_iib, "residual_p2": residual_p2}], {}
 
 
 def _run_sweep(config: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -306,16 +308,8 @@ def _run_sweep(config: argparse.Namespace) -> tuple[list[dict], dict]:
     beta_c = solve_critical(config.p).beta_c
     if grid[0] < beta_c < grid[-1] and beta_c not in grid:
         grid = sorted(grid + [beta_c])
-    return [
-        {
-            "beta": s.beta,
-            "q_beta": s.q_beta,
-            "t_minus": s.t_minus,
-            "free_energy": s.free_energy,
-            "branch": s.branch,
-        }
-        for s in fe_sweep(config.p, grid)
-    ], {}
+    return [{"beta": s.beta, "q_beta": s.q_beta, "t_minus": s.t_minus, "free_energy": s.free_energy,
+             "branch": s.branch} for s in fe_sweep(config.p, grid)], {}
 
 
 def _run_gstate(config: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -362,29 +356,12 @@ def _run_mc_verify(config: argparse.Namespace) -> tuple[list[dict], dict]:
     e2[1] = root
     half = root * np.concatenate(([0.5, np.sqrt(0.75)], np.zeros(n - 2)))
     pairs = [(e1, e2), (e1, half), (e1, e1)]
-    rows = []
-    for row in covariance_check(n, p, pairs, draws=config.draws, seed=config.seed):
-        rows.append(
-            {
-                "check": "covariance",
-                "label": f"R={row.r_overlap:.6g}",
-                "expected": row.target,
-                "observed": row.estimate,
-                "stderr": row.stderr,
-                "z": row.z,
-            }
-        )
-    for row in gradient_fd_check(trials=config.trials, seed=config.seed):
-        rows.append(
-            {
-                "check": "gradient_fd",
-                "label": f"trial={row.trial} n={row.n} p={row.p}",
-                "expected": 0.0,
-                "observed": row.rel_error,
-                "stderr": None,
-                "z": None,
-            }
-        )
+    rows = [{"check": "covariance", "label": f"R={row.r_overlap:.6g}", "expected": row.target,
+             "observed": row.estimate, "stderr": row.stderr, "z": row.z}
+            for row in covariance_check(n, p, pairs, draws=config.draws, seed=config.seed)]
+    rows += [{"check": "gradient_fd", "label": f"trial={row.trial} n={row.n} p={row.p}",
+              "expected": 0.0, "observed": row.rel_error, "stderr": None, "z": None}
+             for row in gradient_fd_check(trials=config.trials, seed=config.seed)]
     return rows, {}
 
 
@@ -397,19 +374,10 @@ def _run_thermo(config: argparse.Namespace) -> tuple[list[dict], dict]:
         tempering_sweep(ens, config.burn_in, record=False)
     ens.freeze()
     tempering_sweep(ens, config.sweeps, record=True)
-    rows = []
-    for pt in thermo_integration(ens):
-        rows.append(
-            {
-                "beta": pt.beta,
-                "f_estimate": pt.f_estimate,
-                "stderr": pt.stderr,
-                "f_theory": free_energy(config.p, pt.beta).free_energy,
-                "mean_energy": pt.mean_energy,
-                "acceptance": pt.acceptance,
-                "equilibrated": pt.equilibrated,
-            }
-        )
+    rows = [{"beta": pt.beta, "f_estimate": pt.f_estimate, "stderr": pt.stderr,
+             "f_theory": free_energy(config.p, pt.beta).free_energy, "mean_energy": pt.mean_energy,
+             "acceptance": pt.acceptance, "equilibrated": pt.equilibrated}
+            for pt in thermo_integration(ens)]
     return rows, {"disorder": source, "ladder": ladder, "sampler": ens.sampler_meta()}
 
 

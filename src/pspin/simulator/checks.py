@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import (
-    _kr_powers,
+    _kr_power,
     gradient,
     hamiltonian,
     overlap,
@@ -65,7 +65,7 @@ def covariance_check(
     for s in configs:
         if s.shape != (n,):
             raise ValueError(f"configuration shape {s.shape} does not match n={n}")
-    u = np.ascontiguousarray(_kr_powers(np.stack(configs), p)[-1].T)  # (n^p, 2 * npairs)
+    u = np.ascontiguousarray(_kr_power(np.stack(configs), p).T)  # (n^p, 2 * npairs)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     m = len(pairs)
@@ -90,12 +90,8 @@ def covariance_check(
         r = overlap(s1, s2)
         target = n * r**p
         z_score = (mean - target) / stderr if stderr > 0 else float("inf")
-        rows.append(
-            CovarianceRow(
-                r_overlap=r, target=target, estimate=float(mean),
-                stderr=stderr, z=float(z_score), draws=draws,
-            )
-        )
+        rows.append(CovarianceRow(r_overlap=r, target=target, estimate=float(mean),
+                                  stderr=stderr, z=float(z_score), draws=draws))
     return rows
 
 
@@ -123,10 +119,6 @@ def gradient_fd_check(trials: int = 20, seed: int = 0) -> list[GradientCheckRow]
             e[i] = _FD_STEP
             fd[i] = (hamiltonian(J, sigma + e) - hamiltonian(J, sigma - e)) / (2 * _FD_STEP)
         scale = max(float(np.max(np.abs(g))), 1e-30)
-        rows.append(
-            GradientCheckRow(
-                trial=t, n=n, p=p,
-                rel_error=float(np.max(np.abs(g - fd)) / scale),
-            )
-        )
+        rows.append(GradientCheckRow(trial=t, n=n, p=p,
+                                     rel_error=float(np.max(np.abs(g - fd)) / scale)))
     return rows

@@ -122,12 +122,19 @@ def _rows(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
     return sigma.reshape(-1, J.n)
 
 
-def _kr_powers(X: np.ndarray, order: int) -> list[np.ndarray]:
-    """Row-wise Khatri-Rao powers KR_1(X) = X, ..., KR_order(X); KR_k is (r, n^k)."""
-    powers = [X]
+def _kr_power(X: np.ndarray, order: int) -> np.ndarray:
+    """Row-wise Khatri-Rao power KR_order(X), (r, n^order); KR_1(X) = X."""
+    power = X
     for _ in range(order - 1):
-        powers.append((powers[-1][:, :, None] * X[:, None, :]).reshape(X.shape[0], -1))
-    return powers
+        power = (power[:, :, None] * X[:, None, :]).reshape(X.shape[0], -1)
+    return power
+
+
+def _contract_tail(t: np.ndarray, x: np.ndarray, slots: int) -> np.ndarray:
+    """Each row of ``t`` with its last ``slots`` slots against that row of x, last first."""
+    for _ in range(slots):
+        t = t.reshape(len(x), -1, x.shape[1]) @ x[:, :, None]
+    return t.reshape(len(x), -1)
 
 
 def _contract(J: DisorderTensor, T: np.ndarray, sigma: np.ndarray, slots: int) -> np.ndarray:
@@ -168,13 +175,16 @@ def sym_gradient(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
     return g.reshape(sigma.shape)
 
 
-def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = None) -> np.ndarray:
+def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = None,
+             last: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n); g . sigma = p H.
 
-    Per block of rows, KR_(p-1)(X) and X read the couplings once each, for slot 0's term and
-    the prefix t; slot m's term is t against KR_(p-1-m)(X), then x takes slot m out of t.
-    A caller that holds the prefix, ``X @ J.entries.reshape(n, -1)`` with n^(p-1) entries
-    per row, passes it as ``prefix`` and saves the second read; it is not modified.
+    Per block of rows, X reads the couplings twice: on their last slot, for slot 0's term, and
+    on slot 0, for the prefix t; batched mat-vecs take the other slots out of both.  A caller
+    that holds the prefix, ``X @ J.entries.reshape(n, -1)`` with n^(p-1) entries per row,
+    passes it as ``prefix`` and saves the second read; it is not modified.  A caller that
+    wants the last-slot product ``X @ J.entries.reshape(-1, n).T`` passes an array of that
+    shape as ``last`` to receive it.
     """
     n, p, T, X = J.n, J.p, J.entries.reshape(J.n, -1), _rows(J, sigma)
     if prefix is not None:
@@ -185,11 +195,12 @@ def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = N
     out = np.empty((len(X), n))
     for lo in range(0, len(X), rows):
         x, g = X[lo:lo + rows], out[lo:lo + rows]
-        kr = _kr_powers(x, p - 1)
-        g[:] = kr.pop() @ T.T
+        u = np.matmul(x, T.reshape(-1, n).T, out=None if last is None else last[lo:lo + rows])
+        g[:] = _contract_tail(u, x, p - 2)
+        del u
         t = (x @ T if prefix is None else prefix[lo:lo + rows]).reshape(len(x), n, -1)
         for m in range(1, p - 1):
-            g += (t @ kr[p - 2 - m][:, :, None])[:, :, 0]
+            g += _contract_tail(t, x, p - 1 - m)
             t = (x[:, None, :] @ t).reshape(len(x), n, -1)
         g += t[:, :, 0]
     return J.norm_factor * out.reshape(sigma.shape)

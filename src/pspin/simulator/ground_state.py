@@ -12,13 +12,15 @@ Each row carries sigma.T from step to step, since it is linear in sigma, so an
 iteration reads the couplings twice: once in the gradient, once for v.T.
 
 CG converges linearly.  At p >= 3, a row whose gradient norm per sqrt(n) is
-at most 1e-3 and whose tangent Hessian is negative definite takes the
-Riemannian Newton direction instead (Absil et al., ch. 6), along the same
-line search, and converges quadratically: about two steps to the tolerance.
-Its Hessian costs two more reads of the couplings, and the n x n solve
-about n^3 flops, as much as one read at p = 3 and less above; the other rows
-keep their CG direction.  At p = 2 an iteration costs only n^2 per row, far
-less than the solve, so CG finishes there.
+at most 0.1 tries the Riemannian Newton direction (Absil et al., ch. 6): it
+takes it, along the same line search, where its tangent Hessian is negative
+definite, and converges quadratically; elsewhere it keeps its CG direction and
+tries again once its gradient norm has halved.  The Hessian reuses the
+gradient's product of the couplings with sigma on their last slot, and the
+prefix, so a try reads the couplings once more; one Cholesky test over the
+rows and the n x n solves add about n^3 flops a row, as much as one read at
+p = 3 and less above.  At p = 2 an iteration costs only n^2 per row, far less
+than the solve, so CG finishes there.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import _BLOCK_ENTRIES, DisorderTensor, _kr_powers, gradient, random_configuration
+from .disorder import _BLOCK_ENTRIES, DisorderTensor, _kr_power, gradient, random_configuration
 
-_NEWTON_GNORM = 1e-3  # gradient norm per sqrt(n) at or below which a row tries a Newton step
+_NEWTON_GNORM = 0.1  # gradient norm per sqrt(n) at or below which a row tries a Newton step
 
 
 @dataclass(frozen=True)
@@ -114,53 +116,56 @@ def _pair_blocks(A: np.ndarray, x: np.ndarray, q: int, pairs):
         yield block.reshape(r, n, n)
 
 
-def _hessian(J: DisorderTensor, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Euclidean Hessian of the energy at each row of x, (r, n, n), given the prefixes ts = x.T.
+def _hessian(J: DisorderTensor, x: np.ndarray, ts: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Euclidean Hessian of the energy at each row of x, (r, n, n), given the couplings against
+    x on slot 0, the prefixes ts, and on slot p-1, the products ``last``.
 
     It sums, over the slot pairs s < t, the couplings with every other slot
     against x, and their transposes.  Pair (0, p-1) comes from KR_(p-2)(x)
-    against the middle slots, pairs (0, s < p-1) from the couplings against x
-    on slot p-1, and pairs among slots 1..p-1 from ts without a read: two reads
-    of the couplings.  Needs p >= 3.
+    against the middle slots, the one read of the couplings; pairs (0, s < p-1)
+    come from ``last`` and pairs among slots 1..p-1 from ts.  Needs p >= 3.
     """
     n, p, T = J.n, J.p, J.entries.reshape(J.n, -1)
     q = p - 1
-    hess = np.matmul(_kr_powers(x, p - 2)[-1], T.reshape(n, -1, n)).transpose(1, 0, 2)
-    for block in _pair_blocks(x @ T.reshape(-1, n).T, x, q, [(0, b) for b in range(1, q)]):
+    hess = np.empty((len(x), n, n))  # contiguous, so that the in-place sums need no buffers
+    np.matmul(_kr_power(x, p - 2), T.reshape(n, -1, n), out=hess.transpose(1, 0, 2))
+    for block in _pair_blocks(last, x, q, [(0, b) for b in range(1, q)]):
         hess += block
     for block in _pair_blocks(ts, x, q, [(a, b) for b in range(q) for a in range(b)]):
         hess += block
-    hess += hess.transpose(0, 2, 1)
+    hess += hess.transpose(0, 2, 1).copy()  # numpy's own copy for the overlap buffers more
     hess *= J.norm_factor
     return hess
 
 
-def _newton_directions(J: DisorderTensor, x: np.ndarray, ts: np.ndarray, h: np.ndarray,
+def _newton_directions(J: DisorderTensor, x: np.ndarray, B: np.ndarray, h: np.ndarray,
                        tangent: np.ndarray):
     """Riemannian Newton directions at the rows of x, and the rows that have one.
 
-    The tangent Hessian B = P (Hessian - (p H / n) I) P - x x^T / n, with P the
-    projection off x, sends x to -x; where B is negative definite the direction
-    solves B eta = -tangent, so it is tangent and points uphill.
+    ``B`` holds the rows' Euclidean Hessians and is overwritten.  The tangent Hessian
+    B = P (Hessian - (p H / n) I) P - x x^T / n, with P the projection off x, sends x to
+    -x; where it is negative definite the direction solves B eta = -tangent, so it is
+    tangent and points uphill.
     """
     n = J.n
-    B = _hessian(J, x, ts)
-    B[:, range(n), range(n)] -= (J.p * h / n)[:, None]
+    B.reshape(len(x), -1)[:, ::n + 1] -= (J.p * h / n)[:, None]  # the diagonals
     Bx = (B @ x[:, :, None])[:, :, 0] / n  # B is symmetric, so also x^T B / n
-    B -= x[:, :, None] * Bx[:, None, :]
-    B -= Bx[:, :, None] * x[:, None, :]
-    B += ((Bx * x).sum(axis=1) - 1)[:, None, None] * (x[:, :, None] * x[:, None, :]) / n
-    B *= -1  # now -B, positive definite at the rows near a maximum
-    ok = np.zeros(len(x), dtype=bool)
-    for row in range(len(x)):
-        try:
-            np.linalg.cholesky(B[row])
-        except np.linalg.LinAlgError:  # not near a maximum: the row keeps its CG direction
-            continue
-        ok[row] = True
+    # P (.) P - x x^T / n as one rank-2 update, B - x y^T - y x^T; then the sign flips
+    y = Bx - (((Bx * x).sum(axis=1) - 1) / (2 * n))[:, None] * x
+    np.subtract(np.stack([x, y], axis=2) @ np.stack([y, x], axis=1), B, out=B)
+    # now B holds -B, positive definite at the rows near a maximum
+    ok = np.ones(len(x), dtype=bool)
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:  # some row is not near a maximum: find which, one by one
+        for row in range(len(x)):
+            try:
+                np.linalg.cholesky(B[row])
+            except np.linalg.LinAlgError:  # the row keeps its CG direction
+                ok[row] = False
     eta = np.zeros_like(x)
     if ok.any():
-        eta[ok] = np.linalg.solve(B[ok], tangent[ok][:, :, None])[:, :, 0]
+        eta[ok] = np.linalg.solve(B if ok.all() else B[ok], tangent[ok][:, :, None])[:, :, 0]
     return eta, ok
 
 
@@ -171,6 +176,7 @@ def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
     iteration count, stop reason and Newton step count.  Each row carries its
     prefix ``ts``, sigma against slot 0: the gradient takes it in place of its
     second read of the couplings, and the line search reads them once more, for v.
+    The gradient's other product, ``last``, is kept for the rows that try Newton.
     """
     n, p, T = J.n, J.p, J.entries.reshape(J.n, -1)
     search_grid = _circle(p)
@@ -180,10 +186,12 @@ def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
     ts = sigma @ T
     live = np.arange(r)  # index of each row still ascending
     stuck = np.zeros(r, dtype=bool)  # the last line search left the row in place
+    retry = np.full(r, _NEWTON_GNORM)  # gradient norm at or below which a row tries Newton
     prev_dir, prev_tangent, prev_gg = np.zeros_like(sigma), np.zeros_like(sigma), np.ones(r)
 
     for it in range(max_iters + 1):
-        g = gradient(J, sigma, prefix=ts)
+        last = np.empty_like(ts) if p > 2 else None  # slot p-1's product, for the Hessian
+        g = gradient(J, sigma, prefix=ts, last=last)
         h = (g * sigma).sum(axis=1) / p  # g . sigma = p H
         tangent = g - (p * h / n)[:, None] * sigma
         gg = (tangent * tangent).sum(axis=1)
@@ -197,22 +205,33 @@ def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
         keep = why == ""
         if not keep.any():
             break
+        # a Newton try where the gradient is small enough; at p = 2 an iteration costs n^2
+        # per row against n^3 for a solve, so CG finishes the ascent there
+        near = keep & (gnorm <= retry) & (p > 2)
+        last = last[near] if near.any() else None
         if not keep.all():
-            sigma, ts, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg = (
-                x[keep] for x in (sigma, ts, h, tangent, gg, live, prev_dir, prev_tangent, prev_gg))
+            # compress, not a mask index, which buffers a few KB per call
+            sigma, ts, h, tangent, gg, gnorm, near, retry, live, prev_dir, prev_tangent, prev_gg = (
+                x.compress(keep, axis=0) for x in (sigma, ts, h, tangent, gg, gnorm, near, retry,
+                                                   live, prev_dir, prev_tangent, prev_gg))
 
         # Polak-Ribiere+ direction, the previous one projected onto this tangent space
         beta = np.maximum(0.0, (gg - (tangent * prev_tangent).sum(axis=1)) / prev_gg)
         carried = prev_dir - ((prev_dir * sigma).sum(axis=1) / n)[:, None] * sigma
         direction = tangent + beta[:, None] * carried
         direction = np.where(((direction * tangent).sum(axis=1) > 0)[:, None], direction, tangent)
-        # a Newton direction, where the tangent Hessian is negative definite; at p = 2 an
-        # iteration costs n^2 per row against n^3 for a solve, so CG finishes the ascent there
-        near = np.flatnonzero(gnorm[keep] <= _NEWTON_GNORM) if p > 2 else []
+        # a Newton direction where the tangent Hessian is negative definite; where it is
+        # not, the row tries again once its gradient norm has halved
+        near = np.flatnonzero(near)
         if len(near):
-            eta, ok = _newton_directions(J, sigma[near], ts[near], h[near], tangent[near])
+            x = sigma[near]
+            B = _hessian(J, x, ts[near], last)
+            del last  # before the factorizations, to bound the peak memory
+            eta, ok = _newton_directions(J, x, B, h[near], tangent[near])
+            del B  # held through the line search, it would raise the peak memory
             direction[near[ok]] = eta[ok]
             newton[live[near[ok]]] += 1
+            retry[near[~ok]] = gnorm[near[~ok]] / 2
         v = direction * (np.sqrt(n) / np.linalg.norm(direction, axis=1))[:, None]
 
         # energy on the great circle: a_0, a_1 from the gradient, the rest from the prefixes

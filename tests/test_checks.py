@@ -35,11 +35,26 @@ class TestCovarianceCheck:
         assert [r.estimate for r in a] == [r.estimate for r in b]
 
     def test_block_size_does_not_change_estimates(self, monkeypatch):
+        # the blocks drawn are recorded, so a check that ignored its block size would fail
+        shapes, make = [], np.random.Generator
+
+        class Recording:
+            def __init__(self, bits):
+                self.gen = make(bits)
+
+            def standard_normal(self, size):
+                shapes.append(size)
+                return self.gen.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
         pairs = exact_pairs(8)
         monkeypatch.setattr(checks, "_BLOCK_DRAWS", 512)
         a = covariance_check(8, 3, pairs, draws=3000, seed=5)
+        assert shapes == [(512, 512)] * 5 + [(440, 512)]
+        shapes.clear()
         monkeypatch.setattr(checks, "_BLOCK_DRAWS", 3000)
         b = covariance_check(8, 3, pairs, draws=3000, seed=5)
+        assert shapes == [(3000, 512)]
         for ra, rb in zip(a, b):
             assert ra.estimate == pytest.approx(rb.estimate, rel=1e-12)
 

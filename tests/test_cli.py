@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from pspin.cli import RUNNERS, emit, main, parse_beta_grid, parse_config
+from pspin.cli import MAX_GRID_POINTS, RUNNERS, emit, main, parse_beta_grid, parse_config
 
 
 def run_cli(*args):
@@ -41,6 +41,14 @@ class TestGridParsing:
             parse_beta_grid("2:1:0.1")
         for spec in ("nan", "0,inf", "0:inf:1", "inf:inf:1", "0:1:nan", "0:1e300:1e-300"):
             with pytest.raises(ValueError, match="must be finite"):
+                parse_beta_grid(spec)
+
+    def test_range_point_count_is_bounded(self):
+        # 0:1e9:1 built a list of 10^9 floats before the first free energy
+        assert len(parse_beta_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        assert len(parse_beta_grid("0:1:0.3")) == 5  # the endpoint is added
+        for spec in (f"0:{MAX_GRID_POINTS}:1", "0:1:1e-6", "0:1e9:1"):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
                 parse_beta_grid(spec)
 
 
@@ -116,6 +124,12 @@ class TestParseConfig:
         cfg = parse_config(["sweep", "--p", "3", "--beta", "0:5:0.01"])
         assert len(cfg.beta_grid) == 501
 
+    def test_sweep_grid_too_long_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["sweep", "--p", "3", "--beta", "0:1e6:1"])
+        assert exc.value.code == 2
+        assert f"more than {MAX_GRID_POINTS} points" in capsys.readouterr().err
+
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("PSPIN_SEED", "777")
         cfg = parse_config(["critical", "--p", "3"])
@@ -136,6 +150,29 @@ class TestParseConfig:
         assert cfg.beta_grid == [0.0, 0.5, 1.0]
         cfg = parse_config(["--config", str(path), "sweep", "--p", "3", "--format", "csv"])
         assert cfg.format == "csv"
+
+    @pytest.mark.parametrize("values, message", [
+        ({"format": "xml"}, "argument --format: invalid choice: 'xml'"),
+        ({"restarts": 2.5}, "argument --restarts: invalid int value: '2.5'"),
+        ({"tol": "small"}, "argument --tol: invalid float value: 'small'"),
+        ({"restarts": True}, "config key 'restarts' must hold a string, a number or null"),
+        ({"output": ["a.csv"]}, "config key 'output' must hold a string, a number or null"),
+    ])
+    def test_config_values_pass_the_options_checks(self, tmp_path, capsys, values, message):
+        # "xml" ran the whole search and then exited 1 in emit; 2.5 died in the search
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--config", str(path), "gstate", "--p", "3", "--n", "8"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_numbers_convert_as_flags_do(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"restarts": 3, "tol": 1e-6, "seed": None, "format": "json"}))
+        cfg = parse_config(["--config", str(path), "gstate", "--p", "3", "--n", "8"])
+        assert (cfg.restarts, cfg.tol, cfg.seed, cfg.format) == (3, 1e-6, 0, "json")
+        assert type(cfg.restarts) is int and type(cfg.tol) is float
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.json"

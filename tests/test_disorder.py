@@ -237,6 +237,33 @@ class TestGradient:
         with pytest.raises(ValueError, match="prefix"):
             gradient(J, X, prefix=prefix[:3])
 
+    def test_last_receives_the_last_slot_product(self, monkeypatch):
+        # the ground-state search keeps it for its Newton steps; blocks of rows fill it in turn
+        from pspin.simulator import disorder
+
+        rng = np.random.default_rng(8)
+        for p, n in ((2, 6), (3, 6), (4, 5)):
+            J = sample_disorder(n, p, seed=30 + p)
+            X = np.stack([random_configuration(n, rng) for _ in range(5)])
+            T = J.entries.reshape(n, -1)
+            last = np.full((5, n ** (p - 1)), np.nan)
+            g = gradient(J, X, prefix=X @ T, last=last)
+            assert np.array_equal(last, X @ T.reshape(-1, n).T)
+            np.testing.assert_allclose(g, gradient(J, X), rtol=1e-13)
+            monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * n ** (p - 1))  # blocks of 2 rows
+            blocked = np.full_like(last, np.nan)
+            np.testing.assert_allclose(gradient(J, X, last=blocked), g, rtol=1e-13)
+            np.testing.assert_allclose(blocked, last, rtol=1e-13)
+            monkeypatch.undo()
+
+    def test_p2_gradient_is_the_two_matrix_products(self):
+        # slot 0's term is X @ T.T and slot 1's X @ T, summed in that order: the p = 2
+        # search's arithmetic, bit for bit
+        J = sample_disorder(7, 2, seed=4)
+        X = np.stack([random_configuration(7, np.random.default_rng(i)) for i in range(3)])
+        T = J.tensor()
+        assert np.array_equal(gradient(J, X), J.norm_factor * (X @ T.T + X @ T))
+
     def test_radial_identity(self):
         # contracting every slot against sigma makes g . sigma = p H
         J = sample_disorder(8, 4, seed=21)

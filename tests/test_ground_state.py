@@ -158,7 +158,8 @@ class TestNewton:
                     others = [c for c in axes if c not in (a, b)]
                     subscripts = ",".join([axes] + ["r" + c for c in others]) + "->r" + a + b
                     oracle += np.einsum(subscripts, J.tensor(), *[sigma] * len(others))
-        hess = ground_state._hessian(J, sigma, sigma @ J.entries.reshape(n, -1))
+        T = J.entries.reshape(n, -1)
+        hess = ground_state._hessian(J, sigma, sigma @ T, sigma @ T.reshape(-1, n).T)
         np.testing.assert_allclose(hess, J.norm_factor * oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("top, newton_steps", [(True, 1), (False, 0)])
@@ -181,6 +182,55 @@ class TestNewton:
             assert gnorm[0] < 1e-8 < 1e-6 < cg_gnorm[0]
         else:  # the PR+ step, to the bit
             assert np.array_equal(final, cg_final) and np.array_equal(gnorm, cg_gnorm)
+
+    @staticmethod
+    def _nudged_peak(n, sign):
+        J = sample_disorder(n, 3, seed=21)
+        peak = ground_state_search(J, restarts=1, tol=1e-12, seed=0).sigma
+        x = sign * peak + 1e-5 * np.random.default_rng(3).standard_normal(n)
+        return J, x * np.sqrt(n) / np.linalg.norm(x)
+
+    def test_one_factorization_sorts_a_mixed_stack(self):
+        # the nudged peak and its mirror in one stack: the batched Cholesky test fails, and
+        # the row-by-row one gives the peak its Newton step and leaves the mirror on CG
+        n = 12
+        J, top = self._nudged_peak(n, 1)
+        _, bottom = self._nudged_peak(n, -1)
+        *_, newton = ground_state._ascend(J, np.stack([top, bottom]), 1, 1e-7)
+        assert list(newton) == [1, 0]
+
+    def test_failed_newton_try_waits_for_the_gradient_norm_to_halve(self, monkeypatch):
+        # a start whose ascent fails the Cholesky test twice under the threshold; after each
+        # failure the row is passed to _newton_directions again only once its norm has halved
+        n = 12
+        J = sample_disorder(n, 3, seed=23)
+        sigma = random_configuration(n, np.random.default_rng(1))[None]
+        norms, tries = [], []
+        directions, grad = ground_state._newton_directions, ground_state.gradient
+
+        def counted(J, x, B, h, tangent):
+            eta, ok = directions(J, x, B, h, tangent)
+            tries.extend(zip(np.linalg.norm(tangent, axis=1) / np.sqrt(n), ok))
+            return eta, ok
+
+        def traced(J, x, **kwargs):
+            g = grad(J, x, **kwargs)
+            norms.append(np.linalg.norm(g - (g @ x[0] / n) * x) / np.sqrt(n))
+            return g
+
+        monkeypatch.setattr(ground_state, "_newton_directions", counted)
+        monkeypatch.setattr(ground_state, "gradient", traced)
+        *_, reasons, newton = ground_state._ascend(J, sigma, 2000, 1e-7)
+        assert reasons == ["tol"] and [ok for _, ok in tries][:3] == [False, False, True]
+        assert newton[0] == sum(ok for _, ok in tries)
+        expected, retry = [], ground_state._NEWTON_GNORM
+        for gnorm in norms[:-1]:  # the last gradient stops the row
+            if gnorm <= retry:
+                expected.append(gnorm)
+                if not tries[len(expected) - 1][1]:
+                    retry = gnorm / 2
+        np.testing.assert_allclose([gnorm for gnorm, _ in tries], expected, rtol=1e-12)
+        assert len(tries) < sum(gnorm <= ground_state._NEWTON_GNORM for gnorm in norms[:-1])
 
     def test_p2_takes_no_newton_step_and_bounds_memory(self, monkeypatch):
         # a p = 2 iteration costs n^2 per row, so CG finishes: an n x n Hessian per row
@@ -209,12 +259,14 @@ class TestNewton:
         J = sample_disorder(64, 3, seed=9000)
         res = ground_state_search(J, restarts=50, seed=17)
         assert set(res.restart_stop_reasons) == {"tol"}
-        assert 1 <= min(res.restart_newton_steps) and max(res.restart_newton_steps) <= 3
+        assert 2 <= min(res.restart_newton_steps) and max(res.restart_newton_steps) <= 6
         assert res.energy_per_spin == pytest.approx(1.616109962646, rel=1e-12)
 
     def test_no_newton_step_above_its_threshold(self):
+        # a tol above the threshold stops every restart before it could try one
         J = sample_disorder(64, 3, seed=9000)
-        res = ground_state_search(J, restarts=50, tol=1e-2, seed=17)
+        res = ground_state_search(J, restarts=50, tol=0.2, seed=17)
+        assert 0.2 > ground_state._NEWTON_GNORM
         assert res.restart_newton_steps == (0,) * 50
 
 
