@@ -82,18 +82,23 @@ class DisorderTensor:
         return out
 
 
+def _entry_count(n: int, p: int, where: str = "") -> int:
+    """n^p, or ``DisorderSizeError`` (prefixed by ``where``) past ``DEFAULT_ENTRY_BUDGET``."""
+    count = n**p if p * n.bit_length() <= 64 else None  # else over 2^32, and maybe huge
+    if count is None or count > DEFAULT_ENTRY_BUDGET:
+        size = "" if count is None else f" = {count} entries ({8 * count} bytes)"
+        raise DisorderSizeError(f"{where}n={n}, p={p}: n^p{size} exceeds the budget of "
+                                f"{DEFAULT_ENTRY_BUDGET} entries")
+    return count
+
+
 def sample_disorder(n: int, p: int, seed: int) -> DisorderTensor:
     """Draw one disorder realization, deterministic in (n, p, seed)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    count = n**p
-    if count > DEFAULT_ENTRY_BUDGET:
-        raise DisorderSizeError(
-            f"n^p = {count} entries ({8 * count} bytes) exceeds the budget of "
-            f"{DEFAULT_ENTRY_BUDGET} entries"
-        )
+    count = _entry_count(n, p)
     gen = np.random.Generator(np.random.Philox(key=seed))
     entries = gen.standard_normal(count)
     return DisorderTensor(n=n, p=p, entries=entries, seed=seed)
@@ -149,10 +154,7 @@ def _contract(J: DisorderTensor, T: np.ndarray, sigma: np.ndarray, slots: int) -
     out = np.empty((len(X), n ** (p - slots)))
     for lo in range(0, len(X), rows):
         x = X[lo:lo + rows]
-        t = x @ T.reshape(n, -1)
-        for _ in range(slots - 1):
-            t = t.reshape(len(x), -1, n) @ x[:, :, None]
-        out[lo:lo + rows] = t.reshape(len(x), -1)
+        out[lo:lo + rows] = _contract_tail(x @ T.reshape(n, -1), x, slots - 1)
     return out
 
 
@@ -210,11 +212,11 @@ def save_disorder(J: DisorderTensor, path: str) -> None:
     """Write the binary tensor file, 16-byte header then little-endian f64, atomically."""
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, J.n, J.p))
-        fh.write(J.entries.astype("<f8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(J.entries, dtype="<f8"))  # the buffer, not a copy
 
 
 def load_disorder(path: str) -> DisorderTensor:
-    """Read a tensor written by ``save_disorder``."""
+    """Read a tensor written by ``save_disorder``, into its one copy of the couplings."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -226,10 +228,14 @@ def load_disorder(path: str) -> DisorderTensor:
             raise ValueError(f"{path}: unsupported version {version}")
         if n < 2 or p < 2:
             raise ValueError(f"{path}: header holds n={n}, p={p}; both must be >= 2")
+        count = _entry_count(n, p, f"{path}: ")
         found = (os.fstat(fh.fileno()).st_size - _HEADER.size) / 8
-        if found != n**p:  # checked before reading, so a bad header allocates nothing
-            raise ValueError(f"{path}: expected {n**p} entries for n={n}, p={p}, found {found:g}")
-        body = fh.read()
-    entries = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    digest = hashlib.sha256(header + body).hexdigest()
-    return DisorderTensor(n=n, p=p, entries=entries, seed=None, sha256=digest)
+        if found != count:  # checked before reading, so a bad header allocates nothing
+            raise ValueError(f"{path}: expected {count} entries for n={n}, p={p}, found {found:g}")
+        entries = np.empty(count, dtype="<f8")
+        if fh.readinto(entries) != entries.nbytes:
+            raise ValueError(f"{path}: truncated while reading")
+    digest = hashlib.sha256(header)
+    digest.update(entries)  # the array's buffer: the file's body bytes
+    entries = entries.astype(np.float64, copy=False)  # no copy on a little-endian host
+    return DisorderTensor(n=n, p=p, entries=entries, seed=None, sha256=digest.hexdigest())

@@ -114,10 +114,10 @@ class TemperingEnsemble:
         return self.betas.size
 
     @property
-    def history(self) -> list:
-        """Recorded H/n as nested lists, (rungs, sweeps) or (k, rungs, sweeps)."""
+    def history(self) -> np.ndarray:
+        """Recorded H/n, (rungs, sweeps) or (k, rungs, sweeps); the sweep axis is empty until a record."""
         records = np.reshape(self._records, (-1,) + self.energies.shape)
-        return np.moveaxis(records, 0, -1).tolist()
+        return np.moveaxis(records, 0, -1).copy()  # C order: a series sums as a 1-d array does
 
     def freeze(self) -> None:
         """Stop step-size adaptation (call before measuring)."""
@@ -198,8 +198,8 @@ def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = Tru
 
     A sweep is ``moves_per_sweep`` geodesic HMC moves, each on every replica
     and rung at once, followed by one swap phase over adjacent pairs of
-    alternating parity.  When ``record`` is set, each rung's H/n is appended
-    to the ensemble history after every sweep.
+    alternating parity.  When ``record`` is set, every sweep adds one entry
+    along the last axis of the ensemble's ``history``: each chain's H/n.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -269,33 +269,25 @@ def thermo_integration(ensemble: TemperingEnsemble) -> list[ThermoPoint]:
         raise ValueError("thermodynamic integration needs a single ladder, not replica ladders")
     if ensemble.betas[0] != 0.0:
         raise ValueError("thermodynamic integration needs a ladder starting at beta=0")
-    if any(len(h) == 0 for h in ensemble.history):
+    history = ensemble.history
+    if history.shape[-1] == 0:
         raise ValueError("no recorded sweeps; run tempering_sweep(record=True) first")
 
     betas = ensemble.betas
-    means = np.array([np.mean(h) for h in ensemble.history])
-    errs = np.array([batch_means_stderr(h) for h in ensemble.history])
+    means = history.mean(axis=1)
+    errs = np.array([batch_means_stderr(h) for h in history])
     rates = ensemble.acceptance_rates()
-
-    points = []
-    f = 0.0
-    var = 0.0
-    for i, beta in enumerate(betas):
-        if i > 0:
-            db = betas[i] - betas[i - 1]
-            f += 0.5 * db * (means[i - 1] + means[i])
-            var += (0.5 * db) ** 2 * (errs[i - 1] ** 2 + errs[i] ** 2)
-        points.append(
-            ThermoPoint(
-                beta=float(beta),
-                f_estimate=f if i > 0 else 0.0,
-                stderr=float(np.sqrt(var)),
-                mean_energy=float(means[i]),
-                acceptance=float(rates[i]),
-                equilibrated=bool(rates[i] >= UNEQUILIBRATED_ACCEPTANCE),
-            )
-        )
-    return points
+    # cumsum adds left to right; float_power squares with libm's pow, as a scalar ** 2 does
+    half = 0.5 * np.diff(betas)
+    sq = np.float_power(errs, 2)
+    f = np.cumsum(np.concatenate(([0.0], half * (means[:-1] + means[1:]))))
+    var = np.cumsum(np.concatenate(([0.0], np.float_power(half, 2) * (sq[:-1] + sq[1:]))))
+    return [
+        ThermoPoint(beta=float(betas[i]), f_estimate=float(f[i]), stderr=float(np.sqrt(var[i])),
+                    mean_energy=float(means[i]), acceptance=float(rates[i]),
+                    equilibrated=bool(rates[i] >= UNEQUILIBRATED_ACCEPTANCE))
+        for i in range(betas.size)
+    ]
 
 
 @dataclass(frozen=True)
@@ -379,7 +371,7 @@ def overlap_probe(
     idx = np.minimum(np.floor((vals + 1.0) / 2.0 * bins).astype(int), bins - 1)
     counts = np.bincount(idx.ravel(), minlength=bins)
 
-    history = np.array(replicas.history)[:, beta_index]  # (k, sweeps)
+    history = replicas.history[:, beta_index]  # (k, sweeps)
     rates = replicas.acceptance_rates()[:, beta_index]
     rhat = split_rhat(history)
     diagnostics = {

@@ -502,6 +502,12 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert not missing.exists()
 
+    def test_budget_error_names_n_and_p_without_n_to_the_p(self, capsys):
+        # 100^5000 has 10,001 digits: the message must not try to print it
+        assert main(["gstate", "--p", "5000", "--n", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "n=100, p=5000" in err and "budget" in err and len(err) < 200
+
     def test_probe_rejects_zero_beta(self):
         proc = run_cli("probe", "--p", "3", "--n", "4", "--beta", "0", "--k", "2",
                        "--rungs", "2", "--sweeps", "2", "--burn-in", "0")

@@ -324,6 +324,30 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_header_over_the_budget_fails_before_the_size_check(self, tmp_path):
+        # (2^32 - 1)^65535 would take 0.27 s to build and overflow int-to-str conversion
+        path = tmp_path / "vast.bin"
+        path.write_bytes(struct.pack("<4sHIH4x", b"PSPN", 1, 2**32 - 1, 65535) + bytes(64))
+        with pytest.raises(DisorderSizeError, match="n=4294967295, p=65535") as err:
+            load_disorder(str(path))
+        assert str(err.value).startswith(f"{path}: ") and len(str(err.value)) < 300
+
+    def test_one_copy_of_the_couplings(self, tmp_path):
+        J = sample_disorder(32, 4, seed=6)  # 8 MiB of couplings, held before tracing
+        path = str(tmp_path / "J.bin")
+        tracemalloc.start()
+        try:
+            save_disorder(J, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = load_disorder(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.entries, J.entries)
+        assert save_peak <= 2**20  # beyond the couplings already held
+        assert load_peak <= 1.1 * J.entries.nbytes
+
 
 class TestCovarianceStructure:
     def test_pair_energy_covariance(self):

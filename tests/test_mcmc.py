@@ -173,7 +173,7 @@ class TestTemperingSweep:
         tempering_sweep(a, 25)
         tempering_sweep(b, 25)
         assert np.array_equal(a.configs, b.configs)
-        assert a.history == b.history
+        assert np.array_equal(a.history, b.history)
 
     def test_adaptation_freezes(self):
         ens = make_ensemble()
@@ -184,7 +184,56 @@ class TestTemperingSweep:
         assert np.array_equal(ens.deltas, deltas)
 
 
+class TestHistory:
+    def test_lone_ladder_is_rungs_by_sweeps(self):
+        ens = make_ensemble()
+        assert isinstance(ens.history, np.ndarray) and ens.history.shape == (ens.n_rungs, 0)
+        tempering_sweep(ens, 4, record=False)
+        assert ens.history.shape == (ens.n_rungs, 0)
+        tempering_sweep(ens, 3)
+        assert ens.history.shape == (ens.n_rungs, 3)
+        np.testing.assert_array_equal(ens.history[:, -1], ens.energies / ens.disorder.n)
+
+    def test_replica_ladders_lead_with_the_replica_axis(self):
+        J = sample_disorder(10, 3, seed=123)
+        ens = TemperingEnsemble(J, [0.0, 0.4, 0.8], seed=[1, 2])
+        assert isinstance(ens.history, np.ndarray) and ens.history.shape == (2, 3, 0)
+        tempering_sweep(ens, 2)
+        assert ens.history.shape == (2, 3, 2)
+        assert ens.history.flags.c_contiguous
+        np.testing.assert_array_equal(ens.history[..., -1], ens.energies / 10)
+
+
+def per_rung_thermo_loop(ensemble):
+    """``thermo_integration``'s earlier per-rung loop over list histories, the bit-level oracle."""
+    history = np.moveaxis(np.reshape(ensemble._records, (-1, ensemble.n_rungs)), 0, -1).tolist()
+    betas = ensemble.betas
+    means = np.array([np.mean(h) for h in history])
+    errs = np.array([batch_means_stderr(h) for h in history])
+    rates = ensemble.acceptance_rates()
+    points, f, var = [], 0.0, 0.0
+    for i, beta in enumerate(betas):
+        if i > 0:
+            db = betas[i] - betas[i - 1]
+            f += 0.5 * db * (means[i - 1] + means[i])
+            var += (0.5 * db) ** 2 * (errs[i - 1] ** 2 + errs[i] ** 2)
+        points.append((float(beta), f if i > 0 else 0.0, float(np.sqrt(var)), float(means[i]),
+                       float(rates[i]), bool(rates[i] >= 0.01)))
+    return points
+
+
 class TestThermoIntegration:
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_the_per_rung_loop_bit_for_bit(self, seed):
+        J = sample_disorder(12, 3, seed=seed)
+        ens = TemperingEnsemble(J, default_ladder(1.5, 9, beta_c=1.2), seed=seed)
+        tempering_sweep(ens, 20, record=False)
+        ens.freeze()
+        tempering_sweep(ens, 60)
+        got = [(pt.beta, pt.f_estimate, pt.stderr, pt.mean_energy, pt.acceptance,
+                pt.equilibrated) for pt in thermo_integration(ens)]
+        assert got == per_rung_thermo_loop(ens)
+
     def test_zero_beta_is_exact_zero(self):
         ens = make_ensemble()
         tempering_sweep(ens, 50)
