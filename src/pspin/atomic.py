@@ -12,11 +12,13 @@ def atomic_write(path: str, mode: str = "w"):
     """Open a file whose bytes replace ``path`` only once the body has succeeded.
 
     ``mode`` is ``"w"`` or ``"wb"``.  The target is ``path`` with symlinks
-    resolved.  A temporary file in the target's directory is renamed over it,
-    taking an existing file's permission bits; if the body or the rename
-    fails, only the temporary file is removed, so an earlier file keeps its
-    bytes.  A target that exists but is no regular file (a FIFO, or a device
-    such as /dev/stdout) cannot be renamed over and is written in place.
+    resolved.  A temporary file in the target's directory is synced to disk
+    and renamed over it, taking an existing file's permission bits, and then
+    the directory is synced, so a crash leaves the earlier or the new bytes.
+    If the body or the rename fails, only the temporary file is removed, so
+    an earlier file keeps its bytes.  A target that exists but is no regular
+    file (a FIFO, or a device such as /dev/stdout) cannot be renamed over and
+    is written in place, unsynced.
 
     The temporary file is opened with exclusive create rather than through
     ``tempfile.mkstemp``, whose files are private (0600): a new output gets
@@ -32,9 +34,16 @@ def atomic_write(path: str, mode: str = "w"):
     try:
         with fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         if os.path.exists(target):
             os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(target), os.O_RDONLY)  # the rename is durable once its directory is
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -44,6 +44,11 @@ from .simulator import (
 
 FORMATS = ("csv", "json")
 MAX_GRID_POINTS = 100_000  # in a 'min:max:step' grid spec
+# [least, limit) of each integer option; the seed keys a Philox generator
+INT_BOUNDS = {"p": (2, math.inf), "n": (2, math.inf), "seed": (0, 2**128),
+              "max_iters": (0, math.inf), "burn_in": (0, math.inf), "bins": (1, math.inf),
+              "rungs": (2, math.inf), "k": (2, math.inf), "sweeps": (1, math.inf),
+              "restarts": (1, math.inf), "trials": (0, math.inf), "draws": (1000, math.inf)}
 
 
 def parse_beta_grid(spec: str) -> list[float]:
@@ -158,10 +163,21 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         if ns.format not in FORMATS:  # argparse checks choices, --format's only, on flags alone
             parser.error(f"argument --format: invalid choice: {ns.format!r} (choose from {FORMATS})")
 
-    if ns.p < 2:
-        parser.error(f"--p must be >= 2, got {ns.p}")
-    if ns.seed is None:
-        ns.seed = int(os.environ.get("PSPIN_SEED", "0"))
+    if ns.seed is None:  # PSPIN_SEED is checked here, the value of any source by the table
+        env = os.environ.get("PSPIN_SEED", "0")
+        try:
+            ns.seed = int(env)
+        except ValueError:
+            parser.error(f"PSPIN_SEED must hold an integer seed, got {env!r}")
+    for dest, (least, limit) in INT_BOUNDS.items():
+        value = getattr(ns, dest, None)  # None: not an option of this command
+        if value is not None and not least <= value < limit:
+            bound = f">= {least}" if value < least else f"< 2**{limit.bit_length() - 1}"
+            parser.error(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
+    dest = {"gstate": "tol", "thermo": "beta_max", "probe": "beta"}.get(ns.command)
+    value = getattr(ns, dest) if dest is not None else None
+    if value is not None and not (math.isfinite(value) and value > 0):
+        parser.error(f"--{dest.replace('_', '-')} must be finite and positive, got {value}")
 
     ns.beta_grid = None
     if ns.command == "sweep":
@@ -173,21 +189,6 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
             parser.error("--beta grid must be nonnegative")
         if any(b2 <= b1 for b1, b2 in zip(ns.beta_grid, ns.beta_grid[1:])):
             parser.error("--beta grid must be strictly increasing")
-
-    n = getattr(ns, "n", None)
-    if n is not None and n < 2:
-        parser.error(f"--n must be >= 2, got {n}")
-
-    if ns.command == "gstate" and not (math.isfinite(ns.tol) and ns.tol > 0):
-        parser.error(f"--tol must be finite and positive, got {ns.tol}")
-    dest = {"thermo": "beta_max", "probe": "beta"}.get(ns.command)
-    beta = getattr(ns, dest) if dest is not None else None
-    if beta is not None and not (math.isfinite(beta) and beta > 0):
-        parser.error(f"--{dest.replace('_', '-')} must be finite and positive, got {beta}")
-    for dest, least in (("max_iters", 0), ("burn_in", 0), ("bins", 1), ("rungs", 2), ("k", 2),
-                        ("sweeps", 1), ("restarts", 1), ("trials", 0), ("draws", 1000)):
-        if getattr(ns, dest, least) < least:
-            parser.error(f"--{dest.replace('_', '-')} must be >= {least}, got {getattr(ns, dest)}")
     return ns
 
 
@@ -202,13 +203,13 @@ def _fmt_cell(value) -> str:
 
 
 def _to_plain(value):
-    """Recursively strip numpy scalar/array types for serialization."""
+    """Recursively strip numpy types for serialization; a float that is not finite becomes None."""
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, np.ndarray):
         return [_to_plain(v) for v in value.tolist()]
     if isinstance(value, dict):
@@ -231,13 +232,13 @@ def emit(records: list[dict], meta: dict, fmt: str, path: str | None) -> None:
     meta = _to_plain(meta)
     if fmt == "csv":
         keys = list(records[0].keys())
-        lines = ["# pspin v%s %s" % (__version__, json.dumps(meta, sort_keys=True))]
+        lines = ["# pspin v%s %s" % (__version__, json.dumps(meta, sort_keys=True, allow_nan=False))]
         lines.append(",".join(keys))
         for rec in records:
             lines.append(",".join(_fmt_cell(rec[k]) for k in keys))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        text = json.dumps({"meta": meta, "rows": records}, indent=2) + "\n"
+        text = json.dumps({"meta": meta, "rows": records}, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -289,18 +290,10 @@ def _get_disorder(config: argparse.Namespace) -> tuple[DisorderTensor, dict]:
 
 def _run_critical(config: argparse.Namespace) -> tuple[list[dict], dict]:
     cp = solve_critical(config.p)
-    if config.p >= 3:
-        res = residuals_prop(config.p, cp.beta_c, cp.q_c, cp.e_star)
-        r_i, r_iia, r_iib = res.r_I, res.r_IIa, res.r_IIb
-        residual_p2 = None
-    else:
-        # closed-form point: the stationarity system evaluated at q=0
-        r_i = 1.0 + 2.0 * cp.beta_c**2 - 2.0 * math.sqrt(2.0) * cp.beta_c
-        r_iia = 0.0
-        r_iib = 0.0
-        residual_p2 = p2_betac_residual(cp.beta_c)
+    res = residuals_prop(cp.p, cp.beta_c, cp.q_c, cp.e_star)
     return [{"p": cp.p, "q_c": cp.q_c, "beta_c": cp.beta_c, "e_star": cp.e_star, "e_inf": cp.e_inf,
-             "r_I": r_i, "r_IIa": r_iia, "r_IIb": r_iib, "residual_p2": residual_p2}], {}
+             "r_I": res.r_I, "r_IIa": res.r_IIa, "r_IIb": res.r_IIb,
+             "residual_p2": p2_betac_residual(cp.beta_c) if cp.p == 2 else None}], {}
 
 
 def _run_sweep(config: argparse.Namespace) -> tuple[list[dict], dict]:
@@ -384,9 +377,7 @@ def _run_thermo(config: argparse.Namespace) -> tuple[list[dict], dict]:
 def _run_probe(config: argparse.Namespace) -> tuple[list[dict], dict]:
     J, source = _get_disorder(config)
     cp = solve_critical(config.p)
-    beta = config.beta
-    if beta is None:
-        beta = 2.0 * cp.beta_c
+    beta = 2.0 * cp.beta_c if config.beta is None else config.beta
     ladder = default_ladder(beta, config.rungs, beta_c=cp.beta_c)
     template = TemperingEnsemble(J, ladder, seed=np.random.SeedSequence((config.seed, 202)))
     hist = overlap_probe(

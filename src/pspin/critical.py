@@ -6,11 +6,10 @@ For p >= 3 the critical overlap q_c is the unique interior root of
 
 from which the critical inverse temperature and the ground-state energy per
 spin follow in closed form.  For p = 2 the model is replica symmetric at all
-temperatures and the triple degenerates to (q_c, beta_c, e_star) =
-(0, 1/sqrt(2), sqrt(2)).
+temperatures: q_c = 0, and the same closed forms give (beta_c, e_star) =
+(1/sqrt(2), sqrt(2)).
 
-The solved triple can be validated through ``residuals_prop``, the
-stationarity/consistency system it must satisfy.
+``residuals_prop`` evaluates the stationarity system the solved triple must satisfy.
 """
 
 from __future__ import annotations
@@ -92,14 +91,12 @@ def solve_qc(p: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def solve_critical(p: int) -> CriticalPoint:
-    """Critical triple (q_c, beta_c, e_star) plus the threshold energy e_inf."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    e_inf = e_infinity(p)
-    if p == 2:
-        return CriticalPoint(p=2, q_c=0.0, beta_c=1.0 / math.sqrt(2.0),
-                             e_star=math.sqrt(2.0), e_inf=e_inf)
-    q_c = solve_qc(p)
+    """Critical triple (q_c, beta_c, e_star) plus the threshold energy e_inf.
+
+    At p = 2, q_c = 0 and the closed forms below give 1/sqrt(2) and sqrt(2) to the bit.
+    """
+    e_inf = e_infinity(p)  # rejects p < 2
+    q_c = solve_qc(p) if p > 2 else 0.0
     beta_c = q_c ** (1.0 - p / 2.0) / math.sqrt(p * (1.0 - q_c))
     root = math.sqrt((p - 1) * (1.0 - q_c))
     e_star = 0.5 * e_inf * (1.0 / root + root)
@@ -109,12 +106,14 @@ def solve_critical(p: int) -> CriticalPoint:
 def residuals_prop(p: int, beta: float, q: float, E: float) -> ResidualTriple:
     """Residuals of the three equations the solved triple must satisfy.
 
+    q lies in (0, 1), or is 0 at p = 2, where q_c = 0.
+
     r_I   : 1/(1-q) + beta^2 (1-q) nu''(q) - beta p q^(p/2-1) E
     r_IIa : beta^2 (nu(q) + (1-q) nu'(q)) - beta q^(p/2) E
     r_IIb : beta q^(p/2) E + log(1-q)
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    if not (0.0 < q < 1.0 or (q == 0.0 and p == 2)):
+        raise ValueError(f"q must lie in (0, 1), or be 0 at p = 2; got {q}")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     nu, nu1, nu2 = eval_nu_derivs(p, q)

@@ -15,6 +15,10 @@ import pytest
 from pspin.cli import MAX_GRID_POINTS, RUNNERS, emit, main, parse_beta_grid, parse_config
 
 
+def _refuse(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "pspin.cli", *args], capture_output=True, text=True
@@ -136,6 +140,42 @@ class TestParseConfig:
         assert cfg.seed == 777
         cfg = parse_config(["critical", "--p", "3", "--seed", "5"])
         assert cfg.seed == 5
+
+    @pytest.mark.parametrize("argv, env, config", [
+        (["critical", "--p", "3"], "abc", None),
+        (["critical", "--p", "3"], "1.5", None),
+        (["critical", "--p", "3", "--seed", "-1"], None, None),
+        (["gstate", "--p", "3", "--n", "4", "--seed", "-1"], None, None),
+        (["gstate", "--p", "3", "--n", "4", "--seed", str(2**128)], None, None),
+        (["critical", "--p", "3", "--seed", str(2**128)], None, None),
+        (["gstate", "--p", "3", "--n", "4"], "-1", None),
+        (["gstate", "--p", "3", "--n", "4"], None, {"seed": -1}),
+        (["gstate", "--p", "3", "--n", "4"], None, {"seed": 2**128}),
+    ])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, argv, env, config):
+        # PSPIN_SEED=abc died in a traceback, and a seed outside [0, 2**128)
+        # reached Philox, which exits 1 after the parse
+        extra = {} if env is None else {"PSPIN_SEED": env}
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path), *argv]
+        proc = subprocess.run([sys.executable, "-m", "pspin.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, **extra})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "seed" in proc.stderr.lower() and "Traceback" not in proc.stderr
+
+    def test_seed_bounds(self, monkeypatch, capsys):
+        for seed in (0, 2**128 - 1):
+            assert parse_config(["critical", "--p", "3", "--seed", str(seed)]).seed == seed
+        monkeypatch.setenv("PSPIN_SEED", "abc")
+        assert parse_config(["critical", "--p", "3", "--seed", "4"]).seed == 4  # env unread
+        with pytest.raises(SystemExit):
+            parse_config(["critical", "--p", "3"])
+        assert "PSPIN_SEED must hold an integer seed, got 'abc'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            parse_config(["critical", "--p", "3", "--seed", str(2**128)])
+        assert f"--seed must be < 2**128, got {2**128}" in capsys.readouterr().err
 
     def test_rejects_small_p(self):
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +322,57 @@ class TestEmit:
             save_disorder(sample_disorder(4, 3, seed=2), str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["J.bin"]
+
+    def test_undefined_values_are_null_and_empty_cells(self, tmp_path):
+        # JSON has no NaN: json.dumps wrote a bare NaN, which strict parsers reject
+        rows = [{"a": float("nan"), "b": np.float64("inf"), "c": 1.5}]
+        emit(rows, {"rhat": np.array([np.nan, 1.0])}, "json", str(tmp_path / "x.json"))
+        doc = json.loads((tmp_path / "x.json").read_text(), parse_constant=_refuse)
+        assert doc["rows"] == [{"a": None, "b": None, "c": 1.5}]
+        assert doc["meta"]["rhat"] == [None, 1.0]
+        emit(rows, {}, "csv", str(tmp_path / "x.csv"))
+        assert (tmp_path / "x.csv").read_text().split("\n")[1:3] == ["a,b,c", ",,1.5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["thermo", "--p", "3", "--n", "8", "--rungs", "3", "--sweeps", "2", "--burn-in", "0"],
+        ["probe", "--p", "3", "--n", "4", "--k", "2", "--rungs", "2", "--sweeps", "2",
+         "--burn-in", "0"],
+    ])
+    def test_short_runs_write_valid_json(self, argv):
+        # two sweeps leave the batch-means stderr and the replicas' R-hat undefined
+        proc = run_cli(*argv, "--format", "json")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout, parse_constant=_refuse)
+        undefined = ([row["stderr"] for row in doc["rows"]] if argv[0] == "thermo"
+                     else [doc["meta"]["diagnostics"]["replica_energy_rhat"]])
+        assert None in undefined
+
+    def test_write_is_synced_before_and_after_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        emit([{"a": 1}], {}, "json", str(tmp_path / "out.json"))
+        assert calls == ["fsync file", "replace", "fsync dir"]
+        assert json.loads((tmp_path / "out.json").read_text())["rows"] == [{"a": 1}]
+
+        calls.clear()  # a FIFO is written in place, with no sync
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=fifo.read_text, daemon=True)
+        reader.start()
+        emit([{"a": 1}], {}, "json", str(fifo))
+        reader.join(timeout=10)
+        assert calls == []
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,15 @@ class TestResiduals:
             res = residuals_prop(2, beta, q, SQRT2)
             assert abs(res.r_I) <= 1e-12
 
+    def test_p2_critical_point_is_accepted(self):
+        """q = 0 at p = 2 gives the closed-form residuals the CLI reported."""
+        cp = solve_critical(2)
+        assert (cp.beta_c, cp.e_star) == (1.0 / math.sqrt(2.0), math.sqrt(2.0))  # to the bit
+        res = residuals_prop(2, cp.beta_c, 0.0, cp.e_star)
+        assert res.r_I == 1.0 + 2.0 * cp.beta_c**2 - 2.0 * math.sqrt(2.0) * cp.beta_c
+        assert (res.r_IIa, res.r_IIb) == (0.0, 0.0)
+        assert res.max_abs() <= 1e-15
+
     def test_rejects_boundary_q(self):
         with pytest.raises(ValueError):
             residuals_prop(3, 1.0, 0.0, 1.6)

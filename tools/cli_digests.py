@@ -1,0 +1,53 @@
+"""Print the sha256 of the ``--format json`` output of a fixed list of CLI runs.
+
+Run it from any directory: it runs the ``pspin`` package of the checkout it
+sits in (``src/`` beside ``tools/``), one run at a time, with one BLAS thread
+and without ``PSPIN_SEED``. Two checkouts write the same outputs when the
+script prints the same lines in each.
+
+    python3 tools/cli_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+RUNS = [
+    "gstate --p 2 --n 48 --restarts 8 --seed 3",
+    "gstate --p 3 --n 32 --restarts 8 --seed 3",
+    "gstate --p 4 --n 20 --restarts 4 --seed 3",
+    "gstate --p 5 --n 10 --restarts 4 --seed 3",
+    "thermo --p 3 --n 32 --seed 5",
+    "thermo --p 4 --n 14 --seed 5 --sweeps 600 --burn-in 200",
+    "probe --p 3 --n 24 --k 4 --sweeps 300 --burn-in 100 --seed 7",
+    "mc-verify --p 3 --n 8 --draws 2000 --trials 3 --seed 2",
+    "critical --p 2",
+    "critical --p 3",
+    "critical --p 5",
+    "critical --p 16",
+    "sweep --p 2 --beta 0:3:0.25",
+    "sweep --p 3 --beta 0:3:0.25",
+]
+
+
+def main() -> int:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PSPIN_SEED"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    status = 0
+    for run in RUNS:
+        proc = subprocess.run([sys.executable, "-m", "pspin.cli", *run.split(), "--format", "json"],
+                              capture_output=True, env=env)
+        if proc.returncode != 0:
+            print(f"exit {proc.returncode}  {run}: {proc.stderr.decode().strip()}")
+            status = 1
+            continue
+        print(f"{hashlib.sha256(proc.stdout).hexdigest()}  {run}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
