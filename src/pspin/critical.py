@@ -22,7 +22,7 @@ from .mixtures import e_infinity, eval_nu_derivs
 from .roots import bisect_secant
 
 Q_CAP = 1.0 - 1e-12  # keep log(1-q) finite: clamp solver domain away from q=1
-QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| accepted from the root polish
+QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| / p accepted from the root polish
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,9 @@ def solve_qc(p: int) -> float:
 
     a decreases from a(0)=0 until q*, the point where b(q) = 2(p-1)/p, and
     increases to 1 as q -> 1, so [q*, 1) brackets the single sign change.
-    q* is found first by bisection on the increasing b.
+    q* is found first by bisection on the increasing b.  The polished root
+    must give |a(q_c)| <= QC_RESIDUAL_MAX * p: a's terms are of size p, so the
+    bound passes a root polished to rounding at every p and fails a wrong one.
     """
     if p < 3:
         raise ValueError(f"interior root exists only for p >= 3, got {p}")
@@ -84,7 +86,7 @@ def solve_qc(p: int) -> float:
             f"a({q_star})={a_lo}, a({Q_CAP})={a_hi}"
         )
     q_c = bisect_secant(lambda q: aux_a(p, q), q_star, Q_CAP)
-    if abs(aux_a(p, q_c)) > QC_RESIDUAL_MAX:
+    if abs(aux_a(p, q_c)) > QC_RESIDUAL_MAX * p:
         raise RuntimeError(f"root polish failed for p={p}: |a(q_c)|={abs(aux_a(p, q_c))}")
     return q_c
 

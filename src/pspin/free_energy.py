@@ -77,7 +77,7 @@ def solve_q_beta(p: int, beta: float, e_star: float) -> float:
     """Larger root of f(q) = t_minus/beta on (ell, 1), for beta >= beta_c.
 
     f is strictly decreasing there from f(ell) > t_minus/beta down to f(1)=0,
-    so bisection is safe.
+    so bisection from ell is safe at every p; at p = 2, ell = 0 and f(0) = 1.
     """
     beta_c = solve_critical(p).beta_c
     if beta < beta_c:
@@ -90,9 +90,8 @@ def solve_q_beta(p: int, beta: float, e_star: float) -> float:
             f"t_minus/beta={target} exceeds the peak f(ell)="
             f"{overlap_polynomial(p, ell)}: inconsistent e_star"
         )
-    lo = ell if p > 2 else 1e-15
     return bisect_secant(
-        lambda q: overlap_polynomial(p, q) - target, lo, Q_CAP, bracket_tol=1e-15
+        lambda q: overlap_polynomial(p, q) - target, ell, Q_CAP, bracket_tol=1e-15
     )
 
 
@@ -106,9 +105,11 @@ def tap_value(p: int, beta: float, e_star: float, q: float) -> float:
 def free_energy(p: int, beta: float) -> TapSolution:
     """Free energy and dominant overlap at inverse temperature beta.
 
-    The critical temperature itself is reported on its own branch with
-    q_beta = q_c (the largest overlap consistent with the critical value), at
-    which the TAP value coincides with beta^2 nu(1)/2 anyway.
+    Above beta_c every p >= 2 takes the same path: q_beta from
+    ``solve_q_beta``, then F from ``tap_value``.  The critical temperature
+    itself is reported on its own branch with q_beta = q_c (the largest
+    overlap consistent with the critical value), at which the TAP value
+    coincides with beta^2 nu(1)/2 anyway.
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
@@ -123,13 +124,8 @@ def free_energy(p: int, beta: float) -> TapSolution:
         f = 0.5 * beta * beta
         return TapSolution(p, beta, cp.q_c, t_minus, t_plus, f, ell, BRANCH_CRITICAL)
 
-    if p == 2:
-        q = 1.0 - 1.0 / (math.sqrt(2.0) * beta)
-        f = (math.sqrt(2.0) * beta - 0.5 * math.log(beta)
-             - 0.25 * math.log(2.0) - 0.75)
-    else:
-        q = solve_q_beta(p, beta, cp.e_star)
-        f = tap_value(p, beta, cp.e_star, q)
+    q = solve_q_beta(p, beta, cp.e_star)
+    f = tap_value(p, beta, cp.e_star, q)
     return TapSolution(p, beta, q, t_minus, t_plus, f, ell, BRANCH_TAP)
 
 

@@ -129,12 +129,8 @@ class TemperingEnsemble:
         return self._accepts / self._steps
 
     def swap_rates(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.where(
-                self._swap_attempts > 0,
-                self._swap_accepts / np.maximum(self._swap_attempts, 1),
-                np.nan,
-            )
+        attempts = self._swap_attempts
+        return np.where(attempts > 0, self._swap_accepts / np.maximum(attempts, 1), np.nan)
 
     def sampler_meta(self) -> dict:
         """How the chains ran: moves per sweep, each chain's step size and acceptance."""
@@ -178,19 +174,21 @@ class TemperingEnsemble:
             self._window_accepts[...] = 0
 
     def _swap_phase(self, parity: int) -> None:
-        """Swap proposals on the adjacent pairs (i, i + 1), i = parity, parity + 2, ..."""
+        """Swap proposals on the adjacent pairs (i, i + 1), i = parity, parity + 2, ...
+
+        Accepted pairs trade rows in place, so the state arrays keep their identity.
+        """
         i = np.arange(parity, self.n_rungs - 1, 2)
         e = self.energies
         logu = np.log(self._draw("random", np.empty((len(self.rngs), i.size))))
         accepted = logu < (self.betas[i] - self.betas[i + 1]) * (e[..., i + 1] - e[..., i])
         self._swap_attempts[..., i] += 1
         self._swap_accepts[..., i] += accepted
-        perm = np.broadcast_to(np.arange(self.n_rungs), e.shape).copy()
-        perm[..., i] = np.where(accepted, i + 1, i)
-        perm[..., i + 1] = np.where(accepted, i, i + 1)
-        self.configs = np.take_along_axis(self.configs, perm[..., None], axis=-2)
-        self.grads = np.take_along_axis(self.grads, perm[..., None], axis=-2)
-        self.energies = np.take_along_axis(e, perm, axis=-1)
+        *replica, pair = np.nonzero(accepted)
+        lo = np.ravel_multi_index((*replica, i[pair]), e.shape)  # replica * rungs + rung
+        for state in (self.configs, self.grads, e):
+            rows = state.reshape((e.size,) + state.shape[e.ndim:], copy=False)  # raises, never copies
+            rows[[lo, lo + 1]] = rows[[lo + 1, lo]]
 
 
 def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = True) -> None:

@@ -61,6 +61,33 @@ def p2_matching_residual_highprec(beta: float, dps: int = 50) -> float:
     return float(b * b / 2 - (mp.sqrt(2) * b - mp.log(b) / 2 - mp.log(2) / 4 - mpf(3) / 4))
 
 
+def p2_closed_forms_highprec(beta: float, dps: int = 50) -> tuple[float, float]:
+    """(q_beta, F) of the 2-spin model above beta_c at high precision:
+    q_beta = 1 - 1/(sqrt(2) beta) and F = sqrt(2) beta - log(2 beta^2)/4 - 3/4."""
+    mp.dps = dps
+    b = mpf(beta)
+    return (float(1 - 1 / (mp.sqrt(2) * b)),
+            float(mp.sqrt(2) * b - mp.log(2 * b * b) / 4 - mpf(3) / 4))
+
+
+def abc_complexity(p: int, u: float, dps: int = 40) -> float:
+    """Complexity Theta_p(u) of the local maxima of the pure p-spin model at energy u <= -E_inf.
+
+    Auffinger, Ben Arous and Cerny (Commun. Pure Appl. Math. 66, 2013):
+    Theta_p(u) = log(p-1)/2 - (p-2) u^2 / (4(p-1)) - I_1(u), with
+    I_1(u) = -(u/E_inf^2) sqrt(u^2 - E_inf^2) - log(-u + sqrt(u^2 - E_inf^2)) + log E_inf
+    and E_inf = 2 sqrt((p-1)/p).  Its zero below -E_inf is minus the ground-state energy.
+    """
+    mp.dps = dps
+    e_inf = 2 * mp.sqrt(mpf(p - 1) / p)
+    u = mpf(u)
+    if u > -e_inf:
+        raise ValueError(f"u={u} above -E_inf={-e_inf}")
+    root = mp.sqrt(u * u - e_inf * e_inf)
+    i_1 = -(u / e_inf**2) * root - mp.log(-u + root) + mp.log(e_inf)
+    return float(mp.log(p - 1) / 2 - (p - 2) * u * u / (4 * (p - 1)) - i_1)
+
+
 def top_eigenvalue_power(M: np.ndarray, iters: int = 500_000, tol: float = 1e-13, seed: int = 1) -> float:
     """Largest-algebraic eigenvalue by power iteration on a shifted matrix.
 

@@ -388,6 +388,24 @@ class TestCommands:
         assert float(row[2]) == pytest.approx(0.7071067811865475, abs=1e-12)
         assert float(row[3]) == pytest.approx(1.4142135623730951, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1000, 5000, 100000])
+    def test_critical_large_p(self, p):
+        # a(q)'s terms grow like p, and so does the rounding of a root polished to the last bit
+        proc = run_cli("critical", "--p", str(p), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert 0.0 < row["q_c"] < 1.0
+        scale = abs(math.log1p(-row["q_c"]))
+        assert max(abs(row[r]) for r in ("r_I", "r_IIa", "r_IIb")) <= 1e-9 * scale, row
+
+    def test_sweep_large_p(self):
+        proc = run_cli("sweep", "--p", "1000", "--beta", "3:8:1", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        tap = [r for r in json.loads(proc.stdout)["rows"] if r["branch"] == "tap"]
+        assert [r["beta"] for r in tap] == [4.0, 5.0, 6.0, 7.0, 8.0]
+        assert all(0.0 < r["q_beta"] < 1.0 and r["free_energy"] < 0.5 * r["beta"] ** 2
+                   for r in tap)
+
     def test_sweep_inserts_critical_beta(self):
         proc = run_cli("sweep", "--p", "3", "--beta", "1.0:1.5:0.1")
         assert proc.returncode == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pspin import critical
 from pspin.critical import (
     aux_a,
     aux_b,
@@ -16,7 +17,7 @@ from pspin.critical import (
 from pspin.free_energy import overlap_polynomial, t_pm
 from pspin.roots import BracketError, bisect_secant
 
-from oracles import bisect, p2_matching_residual_highprec, sign_change_intervals
+from oracles import abc_complexity, bisect, p2_matching_residual_highprec, sign_change_intervals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -90,6 +91,15 @@ class TestSolveQc:
         with pytest.raises(ValueError):
             solve_qc(2)
 
+    @pytest.mark.parametrize("p", [3, 16, 1000, 100000])
+    def test_root_off_by_1e6_fails_the_polish_check(self, p, monkeypatch):
+        # the bound on |a(q_c)| grows with p, but a root 1e-6 away still fails it
+        solve = critical.bisect_secant
+        monkeypatch.setattr(critical, "bisect_secant",
+                            lambda f, lo, hi, **kw: solve(f, lo, hi, **kw) - 1e-6)
+        with pytest.raises(RuntimeError, match="root polish failed"):
+            solve_qc(p)
+
 
 class TestBisectSecant:
     def test_rejects_interval_without_sign_change(self):
@@ -156,6 +166,23 @@ class TestSolveCritical:
             assert cp.beta_c * overlap_polynomial(p, cp.q_c) == pytest.approx(
                 t_minus, abs=1e-9
             )
+
+
+class TestAbcComplexity:
+    """e_star against the complexity of local maxima (Auffinger, Ben Arous and Cerny)."""
+
+    def test_zero_is_the_ground_state_energy(self):
+        for p in range(3, 17):
+            e_inf = 2.0 * math.sqrt((p - 1) / p)
+            zero = bisect(lambda u: abc_complexity(p, u), -2.0 * e_inf, -e_inf * (1.0 + 1e-12))
+            assert abs(zero + solve_critical(p).e_star) <= 1e-12, f"p={p}"
+
+    def test_positive_just_below_threshold(self):
+        for p in range(3, 17):
+            e_inf = 2.0 * math.sqrt((p - 1) / p)
+            assert abc_complexity(p, -e_inf * (1.0 + 1e-9)) > 0.0, f"p={p}"
+        assert abc_complexity(3, -2.0 * math.sqrt(2.0 / 3.0) * (1.0 + 1e-9)) == pytest.approx(
+            0.5 * math.log(2.0) - 1.0 / 3.0, abs=1e-6)
 
 
 class TestResiduals:

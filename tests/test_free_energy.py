@@ -18,7 +18,7 @@ from pspin.free_energy import (
 )
 from pspin.mixtures import e_infinity
 
-from oracles import bisect, cs_1rsb
+from oracles import bisect, cs_1rsb, p2_closed_forms_highprec
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,6 +130,15 @@ class TestFreeEnergy:
         assert sol.free_energy == pytest.approx(
             SQRT2 - 0.25 * math.log(2.0) - 0.75, rel=1e-14
         )
+
+    def test_p2_general_path_within_4_ulps_of_the_closed_forms(self):
+        # q_beta is solved as 1 - q = 1/(sqrt(2) beta), so its ulps are those of 1
+        for beta in np.linspace(0.71, 6.2, 400):
+            sol = free_energy(2, float(beta))
+            q, f = p2_closed_forms_highprec(float(beta))
+            assert sol.branch == "tap"
+            assert abs(sol.q_beta - q) <= 4 * math.ulp(1.0), beta
+            assert abs(sol.free_energy - f) <= 4 * math.ulp(f), beta
 
     def test_ground_state_limit(self):
         cp = solve_critical(3)

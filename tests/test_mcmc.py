@@ -159,6 +159,17 @@ class TestTemperingSweep:
             ens._swap_phase(0)
         assert ens._swap_accepts[0] - before[0] == 20
 
+    def test_swaps_trade_rows_in_place(self):
+        ens = make_ensemble(betas=(0.3, 0.5, 0.7), seed=[5, 6])
+        state = ens.configs, ens.grads, ens.energies
+        tempering_sweep(ens, 3)
+        assert all(a is b for a, b in zip(state, (ens.configs, ens.grads, ens.energies)))
+        ens.betas = np.array([0.4, 0.4, 0.7])  # the pair (0, 1) always swaps
+        before = [a.copy() for a in state]
+        ens._swap_phase(0)
+        for a, b in zip(state, before):
+            assert np.array_equal(a, b[:, [1, 0, 2]])
+
     def test_acceptance_rates_in_unit_interval(self):
         ens = make_ensemble()
         tempering_sweep(ens, 30)

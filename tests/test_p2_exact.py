@@ -30,10 +30,11 @@ def test_n3_matches_sphere_quadrature(seed, beta):
 def test_disorder_mean_against_the_paper():
     """Mean of F_N over 8 samples per n: the annealed value at beta = 0.5 < beta_c,
     and at most the paper's F(2) at beta = 2, since E F_N <= F at even p
-    (Guerra and Toninelli, Commun. Math. Phys. 230, 2002)."""
+    (Guerra and Toninelli, Commun. Math. Phys. 230, 2002).  At beta = 2 the gap
+    to F(2) shrinks at each step in n by more than 2 combined standard errors."""
     paper = math.sqrt(2.0) * 2.0 - math.log(2.0 * 2.0**2) / 4.0 - 0.75  # 1.5586
     assert free_energy(2, 2.0).free_energy == pytest.approx(paper, rel=1e-12)
-    trend = []
+    trend, cold = [], []
     for n in (16, 64, 256):
         tensors = [sample_disorder(n, 2, seed=1000 * n + s).tensor() for s in range(8)]
         for beta, bound in ((0.5, 0.5 * 0.5**2), (2.0, paper)):
@@ -44,4 +45,7 @@ def test_disorder_mean_against_the_paper():
                 assert abs(mean - bound) <= 3.0 * stderr, trend[-1]
             else:
                 assert mean <= bound + 3.0 * stderr, trend[-1]
-    print("\n".join(trend))  # the trend in n is reported, not gated
+                cold.append((paper - mean, stderr))
+    print("\n".join(trend))
+    for (gap, err), (next_gap, next_err) in zip(cold, cold[1:]):
+        assert gap - next_gap > 2.0 * math.hypot(err, next_err), "\n".join(trend)
