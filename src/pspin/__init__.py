@@ -5,7 +5,6 @@ from .critical import (
     CriticalPoint,
     ResidualTriple,
     aux_a,
-    aux_b,
     p2_betac_residual,
     residuals_prop,
     solve_critical,
@@ -33,7 +32,6 @@ __all__ = [
     "TapFunctionalSample",
     "TapSolution",
     "aux_a",
-    "aux_b",
     "e_infinity",
     "eval_nu_derivs",
     "free_energy",

@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .mixtures import e_infinity, eval_nu_derivs
-from .roots import bisect_secant
+from .roots import bisect_root
 
 Q_CAP = 1.0 - 1e-12  # keep log(1-q) finite: clamp solver domain away from q=1
-QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| / p accepted from the root polish
+QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| / p accepted from the root
 
 
 @dataclass(frozen=True)
@@ -55,37 +55,21 @@ def aux_a(p: int, q: float) -> float:
     return p * (1.0 - q) * math.log1p(-q) + p * q - (p - 1) * q * q
 
 
-def aux_b(p: int, q: float) -> float:
-    """-log(1-q)/q, strictly increasing on (0,1); continued to 1 at q=0."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
-    if q == 0.0:
-        return 1.0
-    return -math.log1p(-q) / q
-
-
 def solve_qc(p: int) -> float:
     """Interior root q_c of a(q) for p >= 3.
 
-    a decreases from a(0)=0 until q*, the point where b(q) = 2(p-1)/p, and
-    increases to 1 as q -> 1, so [q*, 1) brackets the single sign change.
-    q* is found first by bisection on the increasing b.  The polished root
-    must give |a(q_c)| <= QC_RESIDUAL_MAX * p: a's terms are of size p, so the
-    bound passes a root polished to rounding at every p and fails a wrong one.
+    a(1/2) = 1/4 - p(ln(2)/2 - 1/4) < 0 for every p >= 3, since ln(2)/2 > 1/4,
+    and a decreases from a(0) = 0 to its minimum and then increases to 1 as
+    q -> 1, so [1/2, Q_CAP] brackets the single sign change.  (a(Q_CAP) is
+    about 1 - 2.7e-11 p, positive for p below about 3.7e10.)
+    One bisection finds the root to floating-point resolution, not to a
+    tolerance.  The root must give |a(q_c)| <= QC_RESIDUAL_MAX * p: a's terms
+    are of size p, so the bound passes a root found to rounding at every p
+    and fails a wrong one.
     """
     if p < 3:
         raise ValueError(f"interior root exists only for p >= 3, got {p}")
-
-    level = 2.0 * (p - 1) / p
-    q_star = bisect_secant(lambda q: aux_b(p, q) - level, 1e-12, Q_CAP)
-
-    a_lo, a_hi = aux_a(p, q_star), aux_a(p, Q_CAP)
-    if not (a_lo < 0.0 < a_hi):
-        raise RuntimeError(
-            f"bracket construction failed for p={p}: "
-            f"a({q_star})={a_lo}, a({Q_CAP})={a_hi}"
-        )
-    q_c = bisect_secant(lambda q: aux_a(p, q), q_star, Q_CAP)
+    q_c = bisect_root(lambda q: aux_a(p, q), 0.5, Q_CAP)
     if abs(aux_a(p, q_c)) > QC_RESIDUAL_MAX * p:
         raise RuntimeError(f"root polish failed for p={p}: |a(q_c)|={abs(aux_a(p, q_c))}")
     return q_c

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .critical import Q_CAP, solve_critical
 from .mixtures import e_infinity, eval_nu_derivs, shifted_total
-from .roots import bisect_secant
+from .roots import bisect_root
 
 # branch labels recorded by free_energy()/sweep()
 BRANCH_RS = "rs"            # replica-symmetric value, beta < beta_c
@@ -90,9 +90,7 @@ def solve_q_beta(p: int, beta: float, e_star: float) -> float:
             f"t_minus/beta={target} exceeds the peak f(ell)="
             f"{overlap_polynomial(p, ell)}: inconsistent e_star"
         )
-    return bisect_secant(
-        lambda q: overlap_polynomial(p, q) - target, ell, Q_CAP, bracket_tol=1e-15
-    )
+    return bisect_root(lambda q: overlap_polynomial(p, q) - target, ell, Q_CAP)
 
 
 def tap_value(p: int, beta: float, e_star: float, q: float) -> float:

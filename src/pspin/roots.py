@@ -1,4 +1,12 @@
-"""Bracketed scalar root finding: bisection with safeguarded secant polish."""
+"""Bracketed scalar root finding by bisection to floating-point resolution.
+
+There is no tolerance to tune: bisection halves the bracket until no double
+lies strictly between its ends, so the root is found as closely as the
+doubles allow, whatever the scale of f or of its argument.  The overlap
+equations of ``pspin.critical`` and ``pspin.free_energy`` each come with a
+bracket that holds a single sign change.  For q_c it is [1/2, Q_CAP] at every
+p >= 3: a(1/2) = 1/4 - p(ln(2)/2 - 1/4) < 0 < a(Q_CAP) (see ``solve_qc``).
+"""
 
 from __future__ import annotations
 
@@ -9,54 +17,32 @@ class BracketError(RuntimeError):
     """The supplied interval does not bracket a sign change."""
 
 
-def bisect_secant(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    bracket_tol: float = 1e-13,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] where f(lo) and f(hi) have opposite signs.
 
-    Bisects until the bracket is narrower than ``bracket_tol`` (or f hits
-    exactly zero), then polishes with up to 8 secant steps that are
-    rejected whenever they leave the current bracket.  Returns the iterate
-    with the smallest |f| seen.
+    Returns an exact zero as soon as one is evaluated.  Otherwise bisects
+    until lo and hi are neighbouring doubles, so f changes sign between the
+    returned point and one of its neighbours, and returns the end with the
+    smaller |f|.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
 
-    while hi - lo > bracket_tol:
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
+        if mid <= lo or mid >= hi:  # no double strictly between the ends
+            return lo if abs(flo) <= abs(fhi) else hi
         fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if flo * fmid < 0.0:
+        if (fmid < 0.0) != (flo < 0.0):
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-
-    best, fbest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    a, fa, b, fb = lo, flo, hi, fhi
-    for _ in range(8):
-        if fb == fa:
-            break
-        x = b - fb * (b - a) / (fb - fa)
-        if not lo <= x <= hi:
-            break
-        fx = f(x)
-        if abs(fx) < abs(fbest):
-            best, fbest = x, fx
-        if fx == 0.0:
-            break
-        a, fa, b, fb = b, fb, x, fx
-    return best

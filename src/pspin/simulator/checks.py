@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import (
+    _entry_count,
     _kr_power,
     gradient,
     hamiltonian,
@@ -52,13 +53,14 @@ def covariance_check(
     the per-pair estimates exact while doing a single pass over the
     randomness.  A block holds at most 2000 draws and at most 2^22
     couplings (one draw if n^p is larger); its size changes the estimates
-    only by summation rounding.
+    only by summation rounding.  n^p past ``DEFAULT_ENTRY_BUDGET`` raises
+    ``DisorderSizeError`` before anything is allocated.
     """
     if draws < 1000:
         raise ValueError(f"draws must be >= 1000, got {draws}")
     if not pairs:
         raise ValueError("need at least one configuration pair")
-    count = n**p
+    count = _entry_count(n, p)  # before anything of size n^p is built
     norm = float(n) ** (-(p - 1) / 2.0)
 
     configs = [s for pair in pairs for s in pair]

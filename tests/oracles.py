@@ -47,6 +47,28 @@ def bisect(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def qc_highprec(p: int, dps: int = 40):
+    """Root of a(q) = p(1-q)log(1-q) + pq - (p-1)q^2 on (1/2, 1), as an mpf at ``dps`` digits.
+
+    Plain bisection at ``dps`` digits from a(1/2) < 0 and a(1 - 10^-20) > 0
+    (true for p below about 10^18), until the bracket is narrower than 10^(2-dps).
+    """
+    mp.dps = dps
+
+    def a(q):
+        return p * (1 - q) * mp.log(1 - q) + p * q - (p - 1) * q * q
+
+    lo, hi = mpf(1) / 2, 1 - mpf(10) ** -20
+    assert a(lo) < 0 < a(hi)
+    while hi - lo > mpf(10) ** (2 - dps):
+        mid = (lo + hi) / 2
+        if a(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def shifted_total_highprec(p: int, q: float, dps: int = 50) -> float:
     """nu(1) - nu(q) - nu'(q)(1-q) for the pure model, at high precision."""
     mp.dps = dps

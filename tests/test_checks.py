@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pspin.simulator import checks, covariance_check, gradient_fd_check
+from pspin.simulator import DisorderSizeError, checks, covariance_check, gradient_fd_check
 
 
 def exact_pairs(n):
@@ -67,6 +67,15 @@ class TestCovarianceCheck:
         for rc, rw in zip(capped, whole):
             assert rc.estimate == pytest.approx(rw.estimate, rel=1e-12)
             assert rc.stderr == pytest.approx(rw.stderr, rel=1e-12)
+
+    def test_budget_checked_before_anything_is_built(self, monkeypatch):
+        # 2^32 entries: the Khatri-Rao block of the six configurations would take 192 GiB
+        def built(*args):
+            raise AssertionError("_kr_power called past the entry budget")
+
+        monkeypatch.setattr(checks, "_kr_power", built)
+        with pytest.raises(DisorderSizeError, match="n=2, p=32"):
+            covariance_check(2, 32, exact_pairs(2), draws=1000)
 
     def test_rejects_tiny_draw_count(self):
         with pytest.raises(ValueError):

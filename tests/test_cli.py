@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pspin.cli import MAX_GRID_POINTS, RUNNERS, emit, main, parse_beta_grid, parse_config
+from pspin.simulator import checks
 
 
 def _refuse(constant):
@@ -616,6 +617,17 @@ class TestExitCodes:
         assert main(["gstate", "--p", "5000", "--n", "100"]) == 1
         err = capsys.readouterr().err
         assert "n=100, p=5000" in err and "budget" in err and len(err) < 200
+
+    def test_mc_verify_past_the_budget_is_one(self, capsys, monkeypatch):
+        # n^p = 2^32 entries, refused before the covariance check builds anything
+        def built(*args):
+            raise AssertionError("_kr_power called past the entry budget")
+
+        monkeypatch.setattr(checks, "_kr_power", built)
+        assert main(["mc-verify", "--p", "32", "--n", "2", "--draws", "1000", "--trials", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "n=2, p=32" in err and "budget" in err
 
     def test_probe_rejects_zero_beta(self):
         proc = run_cli("probe", "--p", "3", "--n", "4", "--beta", "0", "--k", "2",

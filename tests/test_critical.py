@@ -4,20 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from pspin import critical
 from pspin.critical import (
     aux_a,
-    aux_b,
     p2_betac_residual,
     residuals_prop,
     solve_critical,
     solve_qc,
 )
 from pspin.free_energy import overlap_polynomial, t_pm
-from pspin.roots import BracketError, bisect_secant
+from pspin.roots import BracketError, bisect_root
 
-from oracles import abc_complexity, bisect, p2_matching_residual_highprec, sign_change_intervals
+from oracles import (
+    abc_complexity,
+    bisect,
+    p2_matching_residual_highprec,
+    qc_highprec,
+    sign_change_intervals,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -42,23 +48,6 @@ class TestOverlapEquation:
             aux_a(3, 1.0)
 
 
-class TestAuxB:
-    def test_limit_at_zero(self):
-        assert aux_b(3, 0.0) == 1.0
-
-    def test_half(self):
-        assert aux_b(3, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
-
-    def test_strictly_increasing_on_grid(self):
-        grid = np.arange(1e-3, 1.0, 1e-3)
-        vals = [aux_b(3, q) for q in grid]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_q_at_one(self):
-        with pytest.raises(ValueError):
-            aux_b(3, 1.0)
-
-
 class TestSolveQc:
     def test_p3_against_scan_oracle(self):
         """Bisection oracle on a sign scan at 1e-6 resolution."""
@@ -80,12 +69,13 @@ class TestSolveQc:
             q_c = solve_qc(p)
             assert abs(aux_a(p, q_c)) <= 1e-13
 
-    def test_bracket_point_solves_b_equation(self):
-        # independent bisection on b(q) = 4/3
-        q_star = bisect(lambda q: aux_b(3, q) - 4.0 / 3.0, 1e-9, 1.0 - 1e-9)
-        assert q_star == pytest.approx(0.4543949834, abs=1e-8)
-        assert aux_b(3, q_star) == pytest.approx(4.0 / 3.0, rel=1e-12)
-        assert q_star < solve_qc(3)
+    def test_within_2_ulps_of_the_40_digit_root(self):
+        errors = {}
+        for p in (*range(3, 41), 1000, 100000):
+            q_c, root = solve_qc(p), qc_highprec(p)
+            with mp.workdps(40):
+                errors[p] = float(abs(mpf(q_c) - root)) / math.ulp(q_c)
+        assert max(errors.values()) <= 2.0, errors
 
     def test_rejects_p2(self):
         with pytest.raises(ValueError):
@@ -94,9 +84,8 @@ class TestSolveQc:
     @pytest.mark.parametrize("p", [3, 16, 1000, 100000])
     def test_root_off_by_1e6_fails_the_polish_check(self, p, monkeypatch):
         # the bound on |a(q_c)| grows with p, but a root 1e-6 away still fails it
-        solve = critical.bisect_secant
-        monkeypatch.setattr(critical, "bisect_secant",
-                            lambda f, lo, hi, **kw: solve(f, lo, hi, **kw) - 1e-6)
+        solve = critical.bisect_root
+        monkeypatch.setattr(critical, "bisect_root", lambda f, lo, hi: solve(f, lo, hi) - 1e-6)
         with pytest.raises(RuntimeError, match="root polish failed"):
             solve_qc(p)
 
@@ -104,7 +93,7 @@ class TestSolveQc:
 class TestBisectSecant:
     def test_rejects_interval_without_sign_change(self):
         with pytest.raises(BracketError):
-            bisect_secant(lambda x: x * x + 1.0, -1.0, 1.0)
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_exact_zero_endpoint_returned_as_is(self):
         calls = []
@@ -113,15 +102,23 @@ class TestBisectSecant:
             calls.append(x)
             return x - 0.25
 
-        assert bisect_secant(f, 0.25, 1.0) == 0.25
-        assert bisect_secant(f, -1.0, 0.25) == 0.25
+        assert bisect_root(f, 0.25, 1.0) == 0.25
+        assert bisect_root(f, -1.0, 0.25) == 0.25
         assert calls == [0.25, 1.0, -1.0, 0.25]  # endpoints only, no bisection
 
-    def test_cubic_root_within_bracket_tol(self):
-        root = 2.0 ** (1.0 / 3.0)
-        for tol in (1e-13, 1e-15):
-            x = bisect_secant(lambda t: t**3 - 2.0, 0.0, 3.0, bracket_tol=tol)
-            assert abs(x - root) <= tol
+    def test_root_at_floating_point_resolution(self):
+        # f(x) is zero, or changes sign between x and one of its neighbouring doubles
+        def at_resolution(f, x):
+            fx = f(x)
+            return fx == 0.0 or any((f(np.nextafter(x, side)) < 0.0) != (fx < 0.0)
+                                    for side in (-np.inf, np.inf))
+
+        def cube(t):
+            return t**3 - 2.0
+
+        assert at_resolution(cube, bisect_root(cube, 0.0, 3.0))
+        for p in (*range(3, 17), 1000, 5000, 100000):
+            assert at_resolution(lambda q: aux_a(p, q), solve_qc(p)), f"p={p}"
 
 
 class TestSolveCritical:

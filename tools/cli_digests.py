@@ -29,8 +29,10 @@ RUNS = [
     "critical --p 5",
     "critical --p 16",
     "critical --p 1000",
+    "critical --p 100000",
     "sweep --p 2 --beta 0:3:0.25",
     "sweep --p 3 --beta 0:3:0.25",
+    "sweep --p 5 --beta 1:4:0.5",
     "sweep --p 1000 --beta 3:8:1",
 ]
 
