@@ -390,10 +390,10 @@ def overlap_probe(
 
 
 def default_ladder(beta_max: float, rungs: int, beta_c: float | None = None) -> np.ndarray:
-    """Measurement ladder on [0, beta_max]: linear backbone, denser near beta_c.
+    """Measurement ladder on [0, beta_max]: linear backbone plus beta_c as one rung.
 
-    The mean energy varies fastest around the transition, so when the ladder
-    straddles beta_c a geometric cluster of points is inserted on both sides.
+    E(beta) bends at beta_c (slope 1 to 0.426 at p = 3), so a rung there anchors the
+    trapezoid of ``thermo_integration``; a backbone point at beta_c up to rounding gives way.
     """
     if not (np.isfinite(beta_max) and beta_max > 0.0):
         raise ValueError(f"beta_max must be finite and positive, got {beta_max}")
@@ -401,7 +401,5 @@ def default_ladder(beta_max: float, rungs: int, beta_c: float | None = None) -> 
         raise ValueError(f"need at least two rungs, got {rungs}")
     grid = np.linspace(0.0, beta_max, rungs)
     if beta_c is not None and 0.0 < beta_c < beta_max:
-        cluster = beta_c * np.array([0.9, 0.95, 0.975, 1.0, 1.025, 1.05, 1.1])
-        cluster = cluster[(cluster > 0.0) & (cluster < beta_max)]
-        grid = np.unique(np.concatenate([grid, cluster]))
+        grid = np.sort(np.append(grid[~np.isclose(grid, beta_c, rtol=1e-9, atol=0.0)], beta_c))
     return grid

@@ -505,7 +505,7 @@ class TestCommands:
         assert "equilibrated" in doc["meta"]["diagnostics"]
 
     def test_meta_reports_sampled_ladder(self, tmp_path):
-        # default_ladder adds up to 7 points around beta_c to the requested rungs
+        # default_ladder adds beta_c as one more point to the requested rungs
         from pspin import solve_critical
         from pspin.simulator import default_ladder
 
@@ -515,7 +515,7 @@ class TestCommands:
                        "-o", str(out)).returncode == 0
         meta = json.loads(out.read_text())["meta"]
         assert meta["options"]["rungs"] == 14
-        assert len(meta["ladder"]) == 21
+        assert len(meta["ladder"]) == 15
         assert meta["ladder"][0] == 0.0 and meta["ladder"][-1] == meta["diagnostics"]["beta"]
 
         assert run_cli("thermo", "--p", "3", "--n", "6", "--beta-max", "1.5", "--rungs", "5",

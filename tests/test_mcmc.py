@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pspin import solve_critical
+from pspin import free_energy, solve_critical
 from pspin.simulator import (
     TemperingEnsemble,
     batch_means_stderr,
@@ -344,11 +344,53 @@ class TestLadder:
         grid = default_ladder(1.0, 11)
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
-    def test_refinement_inserts_critical_cluster(self):
-        grid = default_ladder(2.0, 5, beta_c=1.2)
-        assert 1.2 in grid
-        assert np.sum((grid > 1.0) & (grid < 1.4)) >= 5
-        assert np.all(np.diff(grid) > 0)
+    def test_critical_point_is_one_rung(self):
+        # beta_c off the backbone is added; on it, it takes the backbone point's place
+        for beta_max, rungs, beta_c, size in [(2.0, 5, 1.2, 6), (2.0, 5, 1.0, 5), (2.0, 5, 0.1, 6)]:
+            grid = default_ladder(beta_max, rungs, beta_c=beta_c)
+            backbone = np.linspace(0.0, beta_max, rungs)
+            assert np.count_nonzero(grid == beta_c) == 1
+            assert len(grid) == size
+            assert np.all(np.isin(backbone, grid))
+            assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_critical_point_within_rounding_replaces_backbone_point(self, p):
+        # at 1.5 beta_c and 13 rungs the 9th backbone point is beta_c up to
+        # rounding (2.2e-16 off at p = 4); adding a rung there gave a pair
+        # that always swapped
+        beta_c = solve_critical(p).beta_c
+        grid = default_ladder(1.5 * beta_c, 13, beta_c=beta_c)
+        spacing = 1.5 * beta_c / 12
+        assert len(grid) == 13
+        assert np.count_nonzero(grid == beta_c) == 1
+        assert grid[0] == 0.0 and grid[-1] == 1.5 * beta_c
+        assert np.diff(grid).min() > 0.99 * spacing
+
+    def test_critical_point_at_beta_max_up_to_rounding_takes_the_top_rung(self):
+        beta_c = 2.0 * (1.0 - 1e-16)
+        grid = default_ladder(2.0, 5, beta_c=beta_c)
+        assert grid.tolist() == [0.0, 0.5, 1.0, 1.5, beta_c]
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_trapezoid_bias_at_infinite_n(self, p):
+        """The N -> oo quadrature bias of the ladder is below the chains' stderr (0.0011 or more)."""
+
+        def bias(ladder, h=1e-5):
+            def energy(beta):  # dF/dbeta; F = beta^2 / 2 near 0, so a one-sided step there
+                lo = max(beta - h, 0.0)
+                return (free_energy(p, beta + h).free_energy
+                        - free_energy(p, lo).free_energy) / (beta + h - lo)
+
+            return (np.trapezoid([energy(b) for b in ladder], ladder)
+                    - free_energy(p, ladder[-1]).free_energy)
+
+        beta_c = solve_critical(p).beta_c
+        with_rung = bias(default_ladder(2.0 * beta_c, 14, beta_c=beta_c))
+        assert abs(with_rung) <= 1e-3
+        assert abs(bias(default_ladder(1.5 * beta_c, 13, beta_c=beta_c))) <= 1e-3
+        # the kink at beta_c sits mid-interval of this backbone: the rung cuts the bias 4x to 8x
+        assert abs(bias(np.linspace(0.0, 2.0 * beta_c, 14))) >= 3.0 * abs(with_rung)
 
     def test_no_refinement_outside_range(self):
         grid = default_ladder(0.6, 13, beta_c=1.2)

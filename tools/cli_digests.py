@@ -22,6 +22,7 @@ RUNS = [
     "gstate --p 5 --n 10 --restarts 4 --seed 3",
     "thermo --p 3 --n 32 --seed 5",
     "thermo --p 4 --n 14 --seed 5 --sweeps 600 --burn-in 200",
+    "thermo --p 3 --n 16 --beta-max 2.5 --rungs 9 --sweeps 200 --burn-in 100 --seed 5",
     "probe --p 3 --n 24 --k 4 --sweeps 300 --burn-in 100 --seed 7",
     "mc-verify --p 3 --n 8 --draws 2000 --trials 3 --seed 2",
     "critical --p 2",
