@@ -42,9 +42,6 @@ class ResidualTriple:
     r_IIa: float
     r_IIb: float
 
-    def max_abs(self) -> float:
-        return max(abs(self.r_I), abs(self.r_IIa), abs(self.r_IIb))
-
 
 def aux_a(p: int, q: float) -> float:
     """The overlap equation a(q) whose interior root is q_c (p >= 3)."""

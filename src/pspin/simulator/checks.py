@@ -15,6 +15,7 @@ import numpy as np
 from .disorder import (
     _entry_count,
     _kr_power,
+    _row_blocks,
     gradient,
     hamiltonian,
     overlap,
@@ -22,8 +23,6 @@ from .disorder import (
     sample_disorder,
 )
 
-_BLOCK_DRAWS = 2000  # disorder draws per block, at most
-_BLOCK_ENTRIES = 2**22  # couplings drawn per block, unless one draw alone is larger
 _FD_DEGREES = (2, 3, 4)  # p of the gradient trials, in turn
 _FD_LARGEST_N = 16  # each trial draws n uniformly from 4 to this
 _FD_STEP = 1e-5  # central-difference step
@@ -51,10 +50,10 @@ def covariance_check(
     One stream of disorder draws is shared by all pairs: each block of
     couplings is contracted against every configuration at once, which keeps
     the per-pair estimates exact while doing a single pass over the
-    randomness.  A block holds at most 2000 draws and at most 2^22
-    couplings (one draw if n^p is larger); its size changes the estimates
-    only by summation rounding.  n^p past ``DEFAULT_ENTRY_BUDGET`` raises
-    ``DisorderSizeError`` before anything is allocated.
+    randomness.  Draws come in the kernels' row blocks, n^p couplings a draw;
+    the block size changes the estimates only by summation rounding.  n^p
+    past ``DEFAULT_ENTRY_BUDGET`` raises ``DisorderSizeError`` before
+    anything is allocated.
     """
     if draws < 1000:
         raise ValueError(f"draws must be >= 1000, got {draws}")
@@ -73,16 +72,12 @@ def covariance_check(
     m = len(pairs)
     sums = np.zeros(m)
     sq_sums = np.zeros(m)
-    done = 0
-    rows = max(1, min(_BLOCK_DRAWS, _BLOCK_ENTRIES // count))  # bounds the memory of a block
-    while done < draws:
-        b = min(rows, draws - done)
-        z = gen.standard_normal((b, count))
-        h = norm * (z @ u)  # (b, 2m)
+    for block in _row_blocks(draws, count):
+        z = gen.standard_normal((block.stop - block.start, count))
+        h = norm * (z @ u)  # (draws in the block, 2m)
         prod = h[:, 0::2] * h[:, 1::2]
         sums += prod.sum(axis=0)
         sq_sums += (prod * prod).sum(axis=0)
-        done += b
 
     rows = []
     for i, (s1, s2) in enumerate(pairs):

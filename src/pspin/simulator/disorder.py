@@ -7,15 +7,16 @@ configuration sigma on the sphere ||sigma||^2 = n is the full tensor
 contraction scaled by n^(-(p-1)/2); no symmetrization is applied, the sum
 runs over all index tuples.
 
-``hamiltonian`` and ``gradient`` read the raw couplings.  Each reads them
-once (``hamiltonian``) or twice (``gradient``) per block of rows and copies
-none of them; ``gradient`` reads them once when the caller passes the rows'
-prefix, their contraction with slot 0.  The ground-state search takes its
-gradients from ``gradient`` and stays on the raw couplings, because its line
-search depends on every bit.  The tempering chains take gradients from
-``sym_gradient``, through the tensor's ``sym``: the couplings averaged over
-the p places of the slot that p - 1 contractions leave free, so that they
-give the whole gradient; ``sym`` is not symmetric in the contracted slots.
+``hamiltonian`` and ``gradient`` read the raw couplings and copy none of
+them: ``hamiltonian`` once per block of rows, ``gradient`` twice per call, or
+once when the caller passes the rows' prefix, their contraction with slot 0.
+Every row loop of the simulator takes its blocks from ``_row_blocks``.  The
+ground-state search takes its gradients from ``gradient`` and stays on the raw
+couplings, because its line search depends on every bit.  The tempering chains
+take gradients from ``sym_gradient``, through the tensor's ``sym``: the
+couplings averaged over the p places of the slot that p - 1 contractions leave
+free, so that they give the whole gradient; ``sym`` is not symmetric in the
+contracted slots.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from ..atomic import atomic_write
 
 DEFAULT_ENTRY_BUDGET = 2**31
-_BLOCK_ENTRIES = 2**20  # intermediate entries per block of energy or gradient rows
+_BLOCK_ENTRIES = 2**20  # entries per block of rows, in the block's widest array
 
 MAGIC = b"PSPN"
 FORMAT_VERSION = 1
@@ -127,6 +128,14 @@ def _rows(J: DisorderTensor, sigma: np.ndarray) -> np.ndarray:
     return sigma.reshape(-1, J.n)
 
 
+def _row_blocks(rows: int, width: int):
+    """Slices of ``rows`` rows, at most max(1, ``_BLOCK_ENTRIES`` // ``width``) each, where
+    ``width`` is the entries a row takes in the block's widest array."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
 def _kr_power(X: np.ndarray, order: int) -> np.ndarray:
     """Row-wise Khatri-Rao power KR_order(X), (r, n^order); KR_1(X) = X."""
     power = X
@@ -145,16 +154,15 @@ def _contract_tail(t: np.ndarray, x: np.ndarray, slots: int) -> np.ndarray:
 def _contract(J: DisorderTensor, T: np.ndarray, sigma: np.ndarray, slots: int) -> np.ndarray:
     """``slots`` slots of the (n,) * p tensor ``T`` against each row of ``sigma``.
 
-    For each block of rows, one matmul takes slot 1 and batched mat-vecs then
+    For each block of rows, one matmul takes slot 0 and batched mat-vecs then
     take the last remaining slot; the tensor is never copied.  Returns
-    (r, n^(p - slots)); blocks are at most n^(p-1) wide after their matmul.
+    (r, n^(p - slots)); blocks are n^(p-1) wide after their matmul.
     """
     n, p, X = J.n, J.p, _rows(J, sigma)
-    rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
     out = np.empty((len(X), n ** (p - slots)))
-    for lo in range(0, len(X), rows):
-        x = X[lo:lo + rows]
-        out[lo:lo + rows] = _contract_tail(x @ T.reshape(n, -1), x, slots - 1)
+    for block in _row_blocks(len(X), n ** (p - 1)):
+        x = X[block]
+        out[block] = _contract_tail(x @ T.reshape(n, -1), x, slots - 1)
     return out
 
 
@@ -181,31 +189,26 @@ def gradient(J: DisorderTensor, sigma: np.ndarray, prefix: np.ndarray | None = N
              last: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of the energy at one configuration (n,) or a stack (r, n); g . sigma = p H.
 
-    Per block of rows, X reads the couplings twice: on their last slot, for slot 0's term, and
-    on slot 0, for the prefix t; batched mat-vecs take the other slots out of both.  A caller
-    that holds the prefix, ``X @ J.entries.reshape(n, -1)`` with n^(p-1) entries per row,
-    passes it as ``prefix`` and saves the second read; it is not modified.  A caller that
-    wants the last-slot product ``X @ J.entries.reshape(-1, n).T`` passes an array of that
-    shape as ``last`` to receive it.
+    X reads the couplings twice: on their last slot, for slot 0's term, and on slot 0, for the
+    prefix t; batched mat-vecs take the other slots out of both.  A caller that holds the
+    prefix, ``X @ J.entries.reshape(n, -1)`` with n^(p-1) entries per row, passes it as
+    ``prefix`` and saves the second read; it is not modified.  A caller that wants the
+    last-slot product ``X @ J.entries.reshape(-1, n).T`` passes an array of that shape as
+    ``last`` to receive it.  All rows go in one pass, n^(p-1) entries each: a caller with many
+    rows bounds them by ``_row_blocks``, as the ground-state search does.
     """
     n, p, T, X = J.n, J.p, J.entries.reshape(J.n, -1), _rows(J, sigma)
-    if prefix is not None:
-        if prefix.size != len(X) * n ** (p - 1):
-            raise ValueError(f"prefix of {prefix.size} entries does not match {len(X)} rows")
-        prefix = prefix.reshape(len(X), -1)
-    rows = max(1, _BLOCK_ENTRIES // n ** (p - 1))
-    out = np.empty((len(X), n))
-    for lo in range(0, len(X), rows):
-        x, g = X[lo:lo + rows], out[lo:lo + rows]
-        u = np.matmul(x, T.reshape(-1, n).T, out=None if last is None else last[lo:lo + rows])
-        g[:] = _contract_tail(u, x, p - 2)
-        del u
-        t = (x @ T if prefix is None else prefix[lo:lo + rows]).reshape(len(x), n, -1)
-        for m in range(1, p - 1):
-            g += _contract_tail(t, x, p - 1 - m)
-            t = (x[:, None, :] @ t).reshape(len(x), n, -1)
-        g += t[:, :, 0]
-    return J.norm_factor * out.reshape(sigma.shape)
+    if prefix is not None and prefix.size != len(X) * n ** (p - 1):
+        raise ValueError(f"prefix of {prefix.size} entries does not match {len(X)} rows")
+    u = np.matmul(X, T.reshape(-1, n).T, out=last)
+    g = _contract_tail(u, X, p - 2).copy()  # at p = 2 a view of u, which may be ``last``
+    del u
+    t = (X @ T if prefix is None else prefix).reshape(len(X), n, -1)
+    for m in range(1, p - 1):
+        g += _contract_tail(t, X, p - 1 - m)
+        t = (X[:, None, :] @ t).reshape(len(X), n, -1)
+    g += t[:, :, 0]
+    return J.norm_factor * g.reshape(sigma.shape)
 
 
 def save_disorder(J: DisorderTensor, path: str) -> None:

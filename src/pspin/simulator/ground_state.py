@@ -1,7 +1,7 @@
 """Ground-state search by Riemannian conjugate gradient on the sphere, with a Newton finish.
 
-Restarts ascend together as one (R, n) array, in chunks of at most the
-kernels' block of prefix entries; a row leaves it when it stops.  Each step
+Restarts ascend together as one (R, n) array per row block of the kernels,
+n^(p-1) prefix entries a row; a row leaves it when it stops.  Each step
 follows a Polak-Ribiere+ direction (the previous one is projected onto the new
 tangent space; Absil, Mahony & Sepulchre, 2008) to the exact maximum on the
 great circle cos(t) sigma + sin(t) v, |v|^2 = n, where
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import _BLOCK_ENTRIES, DisorderTensor, _kr_power, gradient, random_configuration
+from .disorder import DisorderTensor, _kr_power, _row_blocks, gradient, random_configuration
 
 _NEWTON_GNORM = 0.1  # gradient norm per sqrt(n) at or below which a row tries a Newton step
 
@@ -267,9 +267,9 @@ def ground_state_search(
     A restart stops with reason "tol" once its tangential gradient norm per
     sqrt(n) is at most ``tol``, "stalled" once a line search leaves it where
     it is, and "max_iters" after ``max_iters`` line searches, contributing its
-    last iterate; only "tol" counts as converged.  Restarts ascend in chunks
-    whose prefixes hold at most the kernels' block of entries (one row at
-    least).  Runs are bit-reproducible.
+    last iterate; only "tol" counts as converged.  Restarts ascend in the
+    kernels' row blocks, n^(p-1) prefix entries a row, which also bound the
+    gradient's.  Runs are bit-reproducible.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -280,8 +280,8 @@ def ground_state_search(
     n, p = J.n, J.p
     rng = np.random.default_rng(np.random.SeedSequence((seed, n, p)))
     sigma = np.stack([random_configuration(n, rng) for _ in range(restarts)])
-    chunk = max(1, _BLOCK_ENTRIES // n ** (p - 1))
-    parts = [_ascend(J, sigma[lo:lo + chunk], max_iters, tol) for lo in range(0, restarts, chunk)]
+    parts = [_ascend(J, sigma[block], max_iters, tol)
+             for block in _row_blocks(restarts, n ** (p - 1))]
     final, energy, grad_norm, iterations, reasons, newton = (
         np.concatenate(x) for x in zip(*parts))
 

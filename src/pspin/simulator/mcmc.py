@@ -87,6 +87,8 @@ class TemperingEnsemble:
         self.betas = betas
         self.seed = seed
         seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+        if not seeds:
+            raise ValueError("seed list must name at least one replica, got an empty list")
         self.rngs = [np.random.default_rng(s) for s in seeds]  # one per replica
         self._replica_shape = (len(seeds),) if isinstance(seed, (list, tuple)) else ()
         n, shape = disorder.n, self._replica_shape + betas.shape

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pspin.simulator import DisorderSizeError, checks, covariance_check, gradient_fd_check
+from pspin.simulator import DisorderSizeError, checks, covariance_check, disorder, gradient_fd_check
 
 
 def exact_pairs(n):
@@ -48,11 +48,11 @@ class TestCovarianceCheck:
 
         monkeypatch.setattr(np.random, "Generator", Recording)
         pairs = exact_pairs(8)
-        monkeypatch.setattr(checks, "_BLOCK_DRAWS", 512)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 512 * 8**3)
         a = covariance_check(8, 3, pairs, draws=3000, seed=5)
         assert shapes == [(512, 512)] * 5 + [(440, 512)]
         shapes.clear()
-        monkeypatch.setattr(checks, "_BLOCK_DRAWS", 3000)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 3000 * 8**3)
         b = covariance_check(8, 3, pairs, draws=3000, seed=5)
         assert shapes == [(3000, 512)]
         for ra, rb in zip(a, b):
@@ -62,7 +62,7 @@ class TestCovarianceCheck:
         # n^p = 4096: 2000 draws in one block would be 8.2M couplings
         pairs = exact_pairs(16)
         capped = covariance_check(16, 3, pairs, draws=2000, seed=5)
-        monkeypatch.setattr(checks, "_BLOCK_ENTRIES", 2000 * 16**3)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2000 * 16**3)
         whole = covariance_check(16, 3, pairs, draws=2000, seed=5)
         for rc, rw in zip(capped, whole):
             assert rc.estimate == pytest.approx(rw.estimate, rel=1e-12)

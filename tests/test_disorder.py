@@ -107,10 +107,7 @@ class TestHamiltonian:
 
         J = sample_disorder(5, 4, seed=2)
         X = np.random.default_rng(3).standard_normal((7, 5))
-        def with_prefix(J, X):
-            return gradient(J, X, prefix=X @ J.entries.reshape(5, -1))
-
-        kernels = (hamiltonian, gradient, sym_gradient, with_prefix)
+        kernels = (hamiltonian, sym_gradient)
         whole = [kernel(J, X) for kernel in kernels]
         monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * 5**3)  # blocks of 2 rows
         for kernel, one_block in zip(kernels, whole):
@@ -237,10 +234,9 @@ class TestGradient:
         with pytest.raises(ValueError, match="prefix"):
             gradient(J, X, prefix=prefix[:3])
 
-    def test_last_receives_the_last_slot_product(self, monkeypatch):
-        # the ground-state search keeps it for its Newton steps; blocks of rows fill it in turn
-        from pspin.simulator import disorder
-
+    def test_last_receives_the_last_slot_product(self):
+        # the ground-state search keeps it for its Newton steps; at p = 2 the gradient's
+        # slot-0 term is that product itself, so summing into it in place would change ``last``
         rng = np.random.default_rng(8)
         for p, n in ((2, 6), (3, 6), (4, 5)):
             J = sample_disorder(n, p, seed=30 + p)
@@ -250,11 +246,6 @@ class TestGradient:
             g = gradient(J, X, prefix=X @ T, last=last)
             assert np.array_equal(last, X @ T.reshape(-1, n).T)
             np.testing.assert_allclose(g, gradient(J, X), rtol=1e-13)
-            monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 2 * n ** (p - 1))  # blocks of 2 rows
-            blocked = np.full_like(last, np.nan)
-            np.testing.assert_allclose(gradient(J, X, last=blocked), g, rtol=1e-13)
-            np.testing.assert_allclose(blocked, last, rtol=1e-13)
-            monkeypatch.undo()
 
     def test_p2_gradient_is_the_two_matrix_products(self):
         # slot 0's term is X @ T.T and slot 1's X @ T, summed in that order: the p = 2
@@ -270,6 +261,62 @@ class TestGradient:
         rng = np.random.default_rng(3)
         s = random_configuration(8, rng)
         assert gradient(J, s) @ s == pytest.approx(4 * hamiltonian(J, s), rel=1e-12)
+
+
+class TestRowBlocks:
+    def test_one_patch_splits_every_loop(self, monkeypatch):
+        # the kernels, the search's chunks and the covariance draws all take their blocks
+        # from disorder._BLOCK_ENTRIES; each split run matches its one-block run
+        from pspin.simulator import covariance_check, disorder, ground_state, ground_state_search
+
+        J = sample_disorder(8, 3, seed=9)  # 64 entries a row in the kernels and the search
+        X = np.random.default_rng(4).standard_normal((7, 8))
+        root = np.sqrt(4.0)
+        pairs = [(root * np.eye(4)[0], root * np.eye(4)[1]), (root * np.eye(4)[0],) * 2]
+
+        def run():
+            return ([kernel(J, X) for kernel in (hamiltonian, sym_gradient)],
+                    ground_state_search(J, restarts=7, tol=1e-9, seed=3),
+                    covariance_check(4, 3, pairs, draws=1000, seed=5))  # 64 couplings a draw
+
+        kernels_whole, search_whole, cov_whole = run()
+        tails, chunks, draws = [], [], []
+        contract_tail, ascend = disorder._contract_tail, ground_state._ascend
+        make = np.random.Generator
+
+        def tail(t, x, slots):
+            tails.append(len(x))
+            return contract_tail(t, x, slots)
+
+        def counted(J, sigma, *args):
+            chunks.append(len(sigma))
+            return ascend(J, sigma, *args)
+
+        class Recording:
+            def __init__(self, bits):
+                self.gen = make(bits)
+
+            def standard_normal(self, size):
+                draws.append(size[0])
+                return self.gen.standard_normal(size)
+
+        monkeypatch.setattr(disorder, "_contract_tail", tail)
+        monkeypatch.setattr(ground_state, "_ascend", counted)
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", 4 * 64)  # the one patch
+        kernels_split, search_split, cov_split = run()
+
+        assert tails[:4] == [4, 3, 4, 3]  # hamiltonian, sym_gradient; the search's gradients follow
+        assert chunks == [4, 3]
+        assert draws == [4] * 250
+        for split, whole in zip(kernels_split, kernels_whole):
+            np.testing.assert_allclose(split, whole, rtol=1e-13)
+        assert search_split.restart_stop_reasons == search_whole.restart_stop_reasons
+        np.testing.assert_allclose(search_split.restart_energies, search_whole.restart_energies,
+                                   rtol=0, atol=1e-12)
+        for rs, rw in zip(cov_split, cov_whole):
+            assert rs.estimate == pytest.approx(rw.estimate, rel=1e-12)
+            assert rs.stderr == pytest.approx(rw.stderr, rel=1e-12)
 
 
 class TestPersistence:

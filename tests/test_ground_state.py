@@ -13,7 +13,7 @@ from pspin.simulator import (
     random_configuration,
     sample_disorder,
 )
-from pspin.simulator import ground_state
+from pspin.simulator import disorder, ground_state
 
 from oracles import top_eigenvalue_power
 
@@ -121,7 +121,7 @@ class TestLineSearch:
         J = sample_disorder(n, p, seed=5)
         whole = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
         block = 3 * n ** (p - 1)  # three rows of prefix per chunk
-        monkeypatch.setattr(ground_state, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", block)
         chunks, ascend = [], ground_state._ascend
 
         def counted(J, sigma, *args):
@@ -239,7 +239,7 @@ class TestNewton:
         J = sample_disorder(n, 2, seed=5)
         whole = ground_state_search(J, restarts=7, tol=1e-9, seed=3)
         block = 3 * n  # three rows of prefix per chunk
-        monkeypatch.setattr(ground_state, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(disorder, "_BLOCK_ENTRIES", block)
         tracemalloc.start()
         try:
             split = ground_state_search(J, restarts=7, tol=1e-9, seed=3)

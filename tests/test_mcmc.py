@@ -37,6 +37,13 @@ class TestEnsembleBasics:
             with pytest.raises(ValueError, match="finite"):
                 TemperingEnsemble(J, betas, seed=0)
 
+    def test_rejects_an_empty_seed_list(self):
+        # it once reached the first draw and failed there reshaping an empty array
+        J = sample_disorder(6, 3, seed=1)
+        for seed in ([], ()):
+            with pytest.raises(ValueError, match="seed list"):
+                TemperingEnsemble(J, [0.0, 0.5], seed=seed)
+
     def test_initial_configurations_on_sphere(self):
         ens = make_ensemble()
         norms = np.sum(ens.configs**2, axis=1)

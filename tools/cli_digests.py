@@ -20,11 +20,14 @@ RUNS = [
     "gstate --p 3 --n 32 --restarts 8 --seed 3",
     "gstate --p 4 --n 20 --restarts 4 --seed 3",
     "gstate --p 5 --n 10 --restarts 4 --seed 3",
+    "gstate --p 4 --n 40 --restarts 20 --seed 3",  # two search chunks, 16 + 4
     "thermo --p 3 --n 32 --seed 5",
     "thermo --p 4 --n 14 --seed 5 --sweeps 600 --burn-in 200",
     "thermo --p 3 --n 16 --beta-max 2.5 --rungs 9 --sweeps 200 --burn-in 100 --seed 5",
     "probe --p 3 --n 24 --k 4 --sweeps 300 --burn-in 100 --seed 7",
+    "probe --p 4 --n 24 --k 8 --rungs 10 --sweeps 40 --burn-in 20 --seed 7",  # 88 rows, two blocks
     "mc-verify --p 3 --n 8 --draws 2000 --trials 3 --seed 2",
+    "mc-verify --p 3 --n 16 --draws 3000 --trials 2 --seed 2",  # several covariance blocks
     "critical --p 2",
     "critical --p 3",
     "critical --p 5",
