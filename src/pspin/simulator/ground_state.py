@@ -17,10 +17,10 @@ takes it, along the same line search, where its tangent Hessian is negative
 definite, and converges quadratically; elsewhere it keeps its CG direction and
 tries again once its gradient norm has halved.  The Hessian reuses the
 gradient's product of the couplings with sigma on their last slot, and the
-prefix, so a try reads the couplings once more; one Cholesky test over the
-rows and the n x n solves add about n^3 flops a row, as much as one read at
-p = 3 and less above.  At p = 2 an iteration costs only n^2 per row, far less
-than the solve, so CG finishes there.
+prefix, so a try reads the couplings once more; a Cholesky test of each
+trying row on its own and the n x n solves add about n^3 flops a row, as much
+as one read at p = 3 and less above.  At p = 2 an iteration costs only n^2 per
+row, far less than the solve, so CG finishes there.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _hessian(J: DisorderTensor, x: np.ndarray, ts: np.ndarray, last: np.ndarray)
 
 def _newton_directions(J: DisorderTensor, x: np.ndarray, B: np.ndarray, h: np.ndarray,
                        tangent: np.ndarray):
-    """Riemannian Newton directions at the rows of x, and the rows that have one.
+    """Riemannian Newton directions at the rows of x that have one, and those rows as a mask.
 
     ``B`` holds the rows' Euclidean Hessians and is overwritten.  The tangent Hessian
     B = P (Hessian - (p H / n) I) P - x x^T / n, with P the projection off x, sends x to
@@ -153,19 +153,14 @@ def _newton_directions(J: DisorderTensor, x: np.ndarray, B: np.ndarray, h: np.nd
     # P (.) P - x x^T / n as one rank-2 update, B - x y^T - y x^T; then the sign flips
     y = Bx - (((Bx * x).sum(axis=1) - 1) / (2 * n))[:, None] * x
     np.subtract(np.stack([x, y], axis=2) @ np.stack([y, x], axis=1), B, out=B)
-    # now B holds -B, positive definite at the rows near a maximum
+    # now B holds -B, positive definite at the rows near a maximum; one Cholesky test a row
     ok = np.ones(len(x), dtype=bool)
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:  # some row is not near a maximum: find which, one by one
-        for row in range(len(x)):
-            try:
-                np.linalg.cholesky(B[row])
-            except np.linalg.LinAlgError:  # the row keeps its CG direction
-                ok[row] = False
-    eta = np.zeros_like(x)
-    if ok.any():
-        eta[ok] = np.linalg.solve(B if ok.all() else B[ok], tangent[ok][:, :, None])[:, :, 0]
+    for row in range(len(x)):
+        try:
+            np.linalg.cholesky(B[row])
+        except np.linalg.LinAlgError:  # the row is not near a maximum: it keeps its CG direction
+            ok[row] = False
+    eta = np.linalg.solve(B if ok.all() else B[ok], tangent[ok][:, :, None])[:, :, 0]
     return eta, ok
 
 
@@ -229,7 +224,7 @@ def _ascend(J: DisorderTensor, sigma: np.ndarray, max_iters: int, tol: float):
             del last  # before the factorizations, to bound the peak memory
             eta, ok = _newton_directions(J, x, B, h[near], tangent[near])
             del B  # held through the line search, it would raise the peak memory
-            direction[near[ok]] = eta[ok]
+            direction[near[ok]] = eta
             newton[live[near[ok]]] += 1
             retry[near[~ok]] = gnorm[near[~ok]] / 2
         v = direction * (np.sqrt(n) / np.linalg.norm(direction, axis=1))[:, None]

@@ -327,11 +327,11 @@ def overlap_probe(
     Only the ensemble's ``disorder``, ``betas`` and ``seed`` are read: its
     configurations, step sizes and counters play no part.  Each replica
     is a fresh ladder on that disorder and those betas, with its own seed
-    (derived from ``seed`` unless ``replica_seeds`` are given); all k advance
-    together on one replica-axis ensemble.  After burn-in they advance one
-    sweep at a time and the overlaps of all pairs of configurations at rung
-    ``beta_index`` are recorded.  Tempering within each replica is what gives
-    the cold rung a chance to equilibrate.
+    (derived from ``seed``, its spawn key included, unless ``replica_seeds``
+    are given); all k advance together on one replica-axis ensemble.  After
+    burn-in they advance one sweep at a time and the overlaps of all pairs
+    of configurations at rung ``beta_index`` are recorded.  Tempering within
+    each replica is what gives the cold rung a chance to equilibrate.
 
     The run counts as equilibrated when every replica accepts at least 1% of
     its moves at the probed rung and the split-R-hat of the rung's
@@ -350,8 +350,10 @@ def overlap_probe(
 
     if replica_seeds is None:
         base = ensemble.seed
-        entropy = base.entropy if isinstance(base, np.random.SeedSequence) else base
-        replica_seeds = [np.random.SeedSequence((entropy, 7001 + i)) for i in range(k)]
+        if not isinstance(base, np.random.SeedSequence):
+            base = np.random.SeedSequence(base)
+        replica_seeds = [np.random.SeedSequence((base.entropy, 7001 + i), spawn_key=base.spawn_key)
+                         for i in range(k)]
     if len(replica_seeds) != k:
         raise ValueError(f"need {k} replica seeds, got {len(replica_seeds)}")
 

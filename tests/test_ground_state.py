@@ -184,20 +184,57 @@ class TestNewton:
             assert np.array_equal(final, cg_final) and np.array_equal(gnorm, cg_gnorm)
 
     @staticmethod
-    def _nudged_peak(n, sign):
+    def _nudged_peak(n, sign, nudge=3):
         J = sample_disorder(n, 3, seed=21)
         peak = ground_state_search(J, restarts=1, tol=1e-12, seed=0).sigma
-        x = sign * peak + 1e-5 * np.random.default_rng(3).standard_normal(n)
+        x = sign * peak + 1e-5 * np.random.default_rng(nudge).standard_normal(n)
         return J, x * np.sqrt(n) / np.linalg.norm(x)
 
     def test_one_factorization_sorts_a_mixed_stack(self):
-        # the nudged peak and its mirror in one stack: the batched Cholesky test fails, and
-        # the row-by-row one gives the peak its Newton step and leaves the mirror on CG
+        # the nudged peak and its mirror in one stack: each row's own Cholesky test gives
+        # the peak its Newton step and leaves the mirror on CG
         n = 12
         J, top = self._nudged_peak(n, 1)
         _, bottom = self._nudged_peak(n, -1)
         *_, newton = ground_state._ascend(J, np.stack([top, bottom]), 1, 1e-7)
         assert list(newton) == [1, 0]
+
+    def test_each_trying_row_is_factored_once(self, monkeypatch):
+        # two nudged peaks around a nudged mirror: each row is tested by its own Cholesky
+        # factorization, against the eigenvalues of the negated tangent Hessian
+        n, p = 12, 3
+        J, top = self._nudged_peak(n, 1)
+        _, bottom = self._nudged_peak(n, -1)
+        _, other = self._nudged_peak(n, 1, nudge=4)
+        T = J.entries.reshape(n, -1)
+        cholesky = np.linalg.cholesky
+
+        def directions(x):
+            g = gradient(J, x)
+            h = (g * x).sum(axis=1) / p
+            tangent = g - (p * h / n)[:, None] * x
+            B = ground_state._hessian(J, x, x @ T, x @ T.reshape(-1, n).T)
+            P = np.eye(n) - x[:, :, None] * x[:, None, :] / n
+            negated = x[:, :, None] * x[:, None, :] / n - P @ (
+                B - (p * h / n)[:, None, None] * np.eye(n)) @ P
+            definite = np.linalg.eigvalsh(negated).min(axis=1) > 0
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+                eta, ok = ground_state._newton_directions(J, x, B, h, tangent)
+            assert calls == [(n, n)] * len(x)
+            return eta, ok, definite, negated, tangent
+
+        eta, ok, definite, negated, tangent = directions(np.stack([top, bottom, other]))
+        assert list(definite) == [True, False, True] and np.array_equal(ok, definite)
+        assert eta.shape == (2, n)
+        residual = (negated[ok] @ eta[:, :, None])[:, :, 0] - tangent[ok]
+        assert np.all(np.linalg.norm(residual, axis=1)
+                      <= 1e-10 * np.linalg.norm(tangent[ok], axis=1))
+
+        eta, ok, definite, *_ = directions(bottom[None])
+        assert not definite.any() and not ok.any()
+        assert eta.shape == (0, n)
 
     def test_failed_newton_try_waits_for_the_gradient_norm_to_halve(self, monkeypatch):
         # a start whose ascent fails the Cholesky test twice under the threshold; after each

@@ -487,6 +487,17 @@ class TestOverlapProbe:
         assert np.isfinite(a.diagnostics["replica_energy_rhat"])
         assert a.diagnostics == b.diagnostics
 
+    def test_spawned_template_seeds_give_distinct_probes(self):
+        # spawned seeds share their entropy and differ in spawn_key, which the replicas keep;
+        # an int seed derives the same replicas as its SeedSequence
+        J = sample_disorder(12, 3, seed=9)
+        a, b, c, d = (overlap_probe(TemperingEnsemble(J, [0.0, 0.5, 1.0], seed=s), k=2,
+                                    beta_index=2, sweeps=30, burn_in=10)
+                      for s in [*np.random.SeedSequence(5).spawn(2), 5, np.random.SeedSequence(5)])
+        assert a.diagnostics["replica_mean_energy"] != b.diagnostics["replica_mean_energy"]
+        assert not np.array_equal(a.counts, b.counts)
+        assert np.array_equal(c.counts, d.counts) and c.diagnostics == d.diagnostics
+
     def test_rejects_single_replica(self):
         J = sample_disorder(8, 3, seed=3)
         tmpl = TemperingEnsemble(J, [0.0], seed=4)

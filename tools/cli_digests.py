@@ -21,6 +21,7 @@ RUNS = [
     "gstate --p 4 --n 20 --restarts 4 --seed 3",
     "gstate --p 5 --n 10 --restarts 4 --seed 3",
     "gstate --p 4 --n 40 --restarts 20 --seed 3",  # two search chunks, 16 + 4
+    "gstate --p 3 --n 64 --restarts 50 --seed 17",  # 38 Newton tries: 15 mixed, 1 taking no row
     "thermo --p 3 --n 32 --seed 5",
     "thermo --p 4 --n 14 --seed 5 --sweeps 600 --burn-in 200",
     "thermo --p 3 --n 16 --beta-max 2.5 --rungs 9 --sweeps 200 --burn-in 100 --seed 5",
