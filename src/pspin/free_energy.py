@@ -30,9 +30,7 @@ class TapSolution:
     beta: float
     q_beta: float
     t_minus: float
-    t_plus: float
     free_energy: float
-    ell: float
     branch: str
 
 
@@ -73,23 +71,20 @@ def overlap_polynomial(p: int, q: float) -> float:
     return q ** (p / 2.0 - 1.0) * (1.0 - q)
 
 
-def solve_q_beta(p: int, beta: float, e_star: float) -> float:
-    """Larger root of f(q) = t_minus/beta on (ell, 1), for beta >= beta_c.
+def solve_q_beta(p: int, beta: float) -> float:
+    """Larger root of f(q) = t_minus/beta on [ell, 1), for beta >= beta_c.
 
-    f is strictly decreasing there from f(ell) > t_minus/beta down to f(1)=0,
-    so bisection from ell is safe at every p; at p = 2, ell = 0 and f(0) = 1.
+    t_minus and beta_c follow from ``solve_critical(p)``.  f falls from its
+    peak f(ell) to f(1) = 0 there, so bisection from ell is safe at every p;
+    at p = 2, ell = 0 and f(0) = 1.  A target above the peak, as rounding
+    gives at p = 2 and beta_c (t_minus/beta_c = 1 + 2^-52), is clamped to
+    it, and the root is ell.
     """
-    beta_c = solve_critical(p).beta_c
-    if beta < beta_c:
-        raise ValueError(f"beta={beta} below beta_c={beta_c}; no shifted overlap")
-    t_minus, _ = t_pm(p, e_star)
-    target = t_minus / beta
+    cp = solve_critical(p)
+    if beta < cp.beta_c:
+        raise ValueError(f"beta={beta} below beta_c={cp.beta_c}; no shifted overlap")
     ell = (p - 2) / p
-    if target > overlap_polynomial(p, ell):
-        raise ValueError(
-            f"t_minus/beta={target} exceeds the peak f(ell)="
-            f"{overlap_polynomial(p, ell)}: inconsistent e_star"
-        )
+    target = min(t_pm(p, cp.e_star)[0] / beta, overlap_polynomial(p, ell))
     return bisect_root(lambda q: overlap_polynomial(p, q) - target, ell, Q_CAP)
 
 
@@ -112,19 +107,18 @@ def free_energy(p: int, beta: float) -> TapSolution:
     if not math.isfinite(beta) or beta < 0.0:
         raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     cp = solve_critical(p)
-    t_minus, t_plus = t_pm(p, cp.e_star)
-    ell = (p - 2) / p
+    t_minus, _ = t_pm(p, cp.e_star)
 
     if beta < cp.beta_c:
         f = 0.5 * beta * beta
-        return TapSolution(p, beta, 0.0, t_minus, t_plus, f, ell, BRANCH_RS)
+        return TapSolution(p, beta, 0.0, t_minus, f, BRANCH_RS)
     if beta == cp.beta_c:
         f = 0.5 * beta * beta
-        return TapSolution(p, beta, cp.q_c, t_minus, t_plus, f, ell, BRANCH_CRITICAL)
+        return TapSolution(p, beta, cp.q_c, t_minus, f, BRANCH_CRITICAL)
 
-    q = solve_q_beta(p, beta, cp.e_star)
+    q = solve_q_beta(p, beta)
     f = tap_value(p, beta, cp.e_star, q)
-    return TapSolution(p, beta, q, t_minus, t_plus, f, ell, BRANCH_TAP)
+    return TapSolution(p, beta, q, t_minus, f, BRANCH_TAP)
 
 
 def tap_functional(p: int, beta: float, e_star: float, q: float) -> TapFunctionalSample:

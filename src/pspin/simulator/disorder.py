@@ -48,15 +48,7 @@ class DisorderTensor:
     n: int
     p: int
     entries: np.ndarray  # flat, length n**p, row-major over (i_1, ..., i_p)
-    seed: int | None     # None when loaded from a file
     sha256: str | None = None  # of the file's bytes, if loaded
-
-    def __eq__(self, other):
-        """Same n, p, seed and entries; the file hash and ``sym`` do not count."""
-        if not isinstance(other, DisorderTensor):
-            return NotImplemented
-        return ((self.n, self.p, self.seed) == (other.n, other.p, other.seed)
-                and np.array_equal(self.entries, other.entries))
 
     def tensor(self) -> np.ndarray:
         """Multi-index view of the flat entries."""
@@ -73,7 +65,7 @@ class DisorderTensor:
         Slot 1 is the one ``sym_gradient`` leaves free; the others all take the same row, so
         their order does not matter.  The p views are summed into one buffer, the only n^p
         entries the build allocates.  Kept in the instance's ``__dict__``: not a field, so
-        not compared, not saved, and carried by ``copy.deepcopy``.
+        not in the repr, not saved, and carried by ``copy.deepcopy``.
         """
         T = self.tensor()
         out = np.zeros_like(T)
@@ -102,7 +94,7 @@ def sample_disorder(n: int, p: int, seed: int) -> DisorderTensor:
     count = _entry_count(n, p)
     gen = np.random.Generator(np.random.Philox(key=seed))
     entries = gen.standard_normal(count)
-    return DisorderTensor(n=n, p=p, entries=entries, seed=seed)
+    return DisorderTensor(n=n, p=p, entries=entries)
 
 
 def random_configuration(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,4 +233,4 @@ def load_disorder(path: str) -> DisorderTensor:
     digest = hashlib.sha256(header)
     digest.update(entries)  # the array's buffer: the file's body bytes
     entries = entries.astype(np.float64, copy=False)  # no copy on a little-endian host
-    return DisorderTensor(n=n, p=p, entries=entries, seed=None, sha256=digest.hexdigest())
+    return DisorderTensor(n=n, p=p, entries=entries, sha256=digest.hexdigest())

@@ -68,8 +68,10 @@ class TemperingEnsemble:
     ``seed`` is one seed for a single ladder, whose configs and tangent
     gradients are (rungs, n) and whose energies, step sizes and counters are
     (rungs,); or a list of k seeds for k replica ladders, which gives every
-    array a leading axis of length k.  Every chain starts at a uniform point
-    of the sphere with step size 1 / (1 + beta), and takes every move.
+    array a leading axis of length k.  The seeds are not stored: each lives
+    on as its generator's ``bit_generator.seed_seq``, which ``overlap_probe``
+    reads from ``rngs[0]``.  Every chain starts at a uniform point of the
+    sphere with step size 1 / (1 + beta), and takes every move.
     """
 
     def __init__(self, disorder: DisorderTensor, betas, seed: int | np.random.SeedSequence | list):
@@ -85,7 +87,6 @@ class TemperingEnsemble:
 
         self.disorder = disorder
         self.betas = betas
-        self.seed = seed
         seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
         if not seeds:
             raise ValueError("seed list must name at least one replica, got an empty list")
@@ -206,8 +207,7 @@ def tempering_sweep(ensemble: TemperingEnsemble, sweeps: int, record: bool = Tru
     for _ in range(sweeps):
         for _ in range(ensemble.moves_per_sweep):
             ensemble._step()
-        if ensemble.n_rungs > 1:
-            ensemble._swap_phase(ensemble._sweep_index % 2)
+        ensemble._swap_phase(ensemble._sweep_index % 2)  # one rung: no pair, no draw
         ensemble._sweep_index += 1
         if record:
             ensemble._records.append(ensemble.energies / ensemble.disorder.n)
@@ -324,11 +324,12 @@ def overlap_probe(
 ) -> OverlapHistogram:
     """Distribution of pairwise overlaps between k independent replicas.
 
-    Only the ensemble's ``disorder``, ``betas`` and ``seed`` are read: its
-    configurations, step sizes and counters play no part.  Each replica
-    is a fresh ladder on that disorder and those betas, with its own seed
-    (derived from ``seed``, its spawn key included, unless ``replica_seeds``
-    are given); all k advance together on one replica-axis ensemble.  After
+    Only the ensemble's ``disorder``, ``betas`` and first generator's seed
+    sequence, ``rngs[0].bit_generator.seed_seq``, are read: its
+    configurations, step sizes and counters play no part.  Each replica is a
+    fresh ladder on that disorder and those betas, with its own seed (derived
+    from that sequence's entropy and spawn key, unless ``replica_seeds`` are
+    given); all k advance together on one replica-axis ensemble.  After
     burn-in they advance one sweep at a time and the overlaps of all pairs
     of configurations at rung ``beta_index`` are recorded.  Tempering within
     each replica is what gives the cold rung a chance to equilibrate.
@@ -349,9 +350,7 @@ def overlap_probe(
         raise ValueError(f"bins must be >= 1, got {bins}")
 
     if replica_seeds is None:
-        base = ensemble.seed
-        if not isinstance(base, np.random.SeedSequence):
-            base = np.random.SeedSequence(base)
+        base = ensemble.rngs[0].bit_generator.seed_seq
         replica_seeds = [np.random.SeedSequence((base.entropy, 7001 + i), spawn_key=base.spawn_key)
                          for i in range(k)]
     if len(replica_seeds) != k:

@@ -109,7 +109,7 @@ class TestAcceptance:
         worst = 0.0
         betas = np.linspace(cp.beta_c + 1e-9, 10.0, 200)
         for beta in betas:
-            q = solve_q_beta(3, beta, cp.e_star)
+            q = solve_q_beta(3, beta)
             worst = max(worst, abs(beta * overlap_polynomial(3, q) - t_minus))
             ok = ok and lemma_bound_check(3, beta, q)
         elapsed = time.time() - start

@@ -57,15 +57,17 @@ class TestQuadraticRoots:
 
 class TestDominantOverlap:
     def test_at_critical_temperature_returns_qc(self):
-        cp = solve_critical(3)
-        assert solve_q_beta(3, cp.beta_c, cp.e_star) == pytest.approx(cp.q_c, abs=1e-10)
+        # at p = 2 rounding puts t_minus/beta_c one ulp above the peak f(0) = 1; it is clamped
+        for p in (2, 3, 4, 5, 10):
+            cp = solve_critical(p)
+            assert solve_q_beta(p, cp.beta_c) == pytest.approx(cp.q_c, abs=1e-10)
 
     def test_double_beta_c_against_oracle(self):
         cp = solve_critical(3)
         beta = 2.0 * cp.beta_c
         t_minus, _ = t_pm(3, cp.e_star)
         q_ref = bisect(lambda q: math.sqrt(q) * (1 - q) - t_minus / beta, 1 / 3, 1 - 1e-12)
-        q = solve_q_beta(3, beta, cp.e_star)
+        q = solve_q_beta(3, beta)
         assert q == pytest.approx(q_ref, abs=1e-12)
         assert q == pytest.approx(0.8449168468, abs=1e-9)
         assert q == pytest.approx(0.8447, abs=1e-3)  # coarse literature rounding
@@ -73,7 +75,7 @@ class TestDominantOverlap:
     def test_near_saturation_asymptotics(self):
         cp = solve_critical(3)
         t_minus, _ = t_pm(3, cp.e_star)
-        q = solve_q_beta(3, 1e4, cp.e_star)
+        q = solve_q_beta(3, 1e4)
         assert q == pytest.approx(0.9999656001569398, abs=1e-12)
         assert 1.0 - q == pytest.approx(t_minus / 1e4, rel=0.01)
 
@@ -81,13 +83,13 @@ class TestDominantOverlap:
         cp = solve_critical(3)
         t_minus, _ = t_pm(3, cp.e_star)
         for beta in np.linspace(cp.beta_c + 1e-6, 10.0, 50):
-            q = solve_q_beta(3, beta, cp.e_star)
+            q = solve_q_beta(3, beta)
             assert beta * overlap_polynomial(3, q) == pytest.approx(t_minus, abs=1e-10)
 
     def test_rejects_high_temperature(self):
         cp = solve_critical(3)
         with pytest.raises(ValueError):
-            solve_q_beta(3, 0.5 * cp.beta_c, cp.e_star)
+            solve_q_beta(3, 0.5 * cp.beta_c)
 
 
 class TestFreeEnergy:
@@ -195,7 +197,7 @@ class TestTapFunctional:
     def test_stationary_at_q_beta(self):
         cp = solve_critical(3)
         beta = 2.0 * cp.beta_c
-        q = solve_q_beta(3, beta, cp.e_star)
+        q = solve_q_beta(3, beta)
         s = tap_functional(3, beta, cp.e_star, q)
         assert abs(s.g_derivative) <= 1e-8
         assert s.g_value == pytest.approx(tap_value(3, beta, cp.e_star, q), rel=1e-14)
@@ -232,7 +234,7 @@ class TestLemmaBound:
     def test_holds_at_solved_overlap(self):
         cp = solve_critical(3)
         beta = 2.0 * cp.beta_c
-        q = solve_q_beta(3, beta, cp.e_star)
+        q = solve_q_beta(3, beta)
         assert lemma_bound_check(3, beta, q)
 
     def test_holds_trivially_at_zero(self):

@@ -20,7 +20,7 @@ from oracles import top_eigenvalue_power
 
 class TestTrivialCases:
     def test_zero_disorder(self):
-        J = DisorderTensor(6, 3, np.zeros(216), seed=None)
+        J = DisorderTensor(6, 3, np.zeros(216))
         res = ground_state_search(J, restarts=2, max_iters=50)
         assert res.energy_per_spin == 0.0
         assert res.converged

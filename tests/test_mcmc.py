@@ -156,6 +156,22 @@ class TestTemperingSweep:
         assert ens._swap_attempts[0] == 0
         assert len(ens.history[0]) == 10
 
+    @pytest.mark.parametrize("seed", [5, [5, 6]])
+    def test_one_rung_swap_phase_changes_nothing(self, seed):
+        # no adjacent pair: zero uniforms drawn, no row moved, no counter touched
+        ens = make_ensemble(betas=(0.7,), seed=seed)
+        tempering_sweep(ens, 2)
+
+        def snapshot():
+            return ([rng.bit_generator.state for rng in ens.rngs],
+                    [a.copy() for a in (ens.configs, ens.grads, ens.energies,
+                                        ens._swap_attempts, ens._swap_accepts)])
+
+        before = snapshot()
+        for parity in (0, 1):
+            ens._swap_phase(parity)
+        np.testing.assert_equal(snapshot(), before)
+
     def test_equal_beta_swap_always_accepted(self):
         # a two-rung ladder cannot have equal betas, so drive the swap phase
         # directly on a cloned state: exponent (b_i - b_j)(H_j - H_i) = 0
@@ -497,6 +513,18 @@ class TestOverlapProbe:
         assert a.diagnostics["replica_mean_energy"] != b.diagnostics["replica_mean_energy"]
         assert not np.array_equal(a.counts, b.counts)
         assert np.array_equal(c.counts, d.counts) and c.diagnostics == d.diagnostics
+
+    def test_list_seeded_template_probes_from_its_first_seed(self):
+        # the replicas derive from the first generator's seed sequence, so a list of
+        # spawned seeds probes as its first element does
+        J = sample_disorder(8, 3, seed=3)
+        first, second = np.random.SeedSequence(5).spawn(2)
+        a, b = (overlap_probe(TemperingEnsemble(J, [0.0, 0.5], seed=s), k=2, beta_index=1,
+                              sweeps=5, burn_in=10)
+                for s in ([first, second], first))
+        assert a.pair_count == 5
+        assert np.array_equal(a.counts, b.counts)
+        np.testing.assert_equal(a.diagnostics, b.diagnostics)
 
     def test_rejects_single_replica(self):
         J = sample_disorder(8, 3, seed=3)

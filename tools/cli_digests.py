@@ -6,11 +6,19 @@ and without ``PSPIN_SEED``. Two checkouts write the same outputs when the
 script prints the same lines in each.
 
     python3 tools/cli_digests.py
+    python3 tools/cli_digests.py --against DIR
+
+With ``--against DIR`` every run also goes through the checkout at DIR, and
+under each run whose output differs the script lists every JSON path whose
+value changed, DIR's value -> this checkout's. It exits 1 when a run fails or
+differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,21 +48,69 @@ RUNS = [
     "sweep --p 5 --beta 1:4:0.5",
     "sweep --p 1000 --beta 3:8:1",
 ]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ABSENT = object()  # a key that one side's output does not have
+
+
+def _run(root: str, run: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PSPIN_SEED"}
+    env.update(PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "pspin.cli", *run.split(), "--format", "json"],
+                          capture_output=True, env=env)
+
+
+def _show(value) -> str:
+    return "absent" if value is ABSENT else json.dumps(value)
+
+
+def _changes(old, new, path: str = ""):
+    """(path, old, new) for every value that differs between two JSON documents.
+
+    Objects are compared key by key and lists of equal length item by item;
+    anything else, a list whose length changed included, is compared whole.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            yield from _changes(old.get(key, ABSENT), new.get(key, ABSENT),
+                                f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _changes(a, b, f"{path}[{i}]")
+    elif _show(old) != _show(new):
+        yield path, old, new
 
 
 def main() -> int:
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "PSPIN_SEED"}
-    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    status = 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="DIR",
+                        help="another checkout whose outputs to compare, value by value")
+    args = parser.parse_args()
+    if args.against and not os.path.isdir(os.path.join(args.against, "src", "pspin")):
+        parser.error(f"{args.against} holds no src/pspin")
+
+    status, differ = 0, 0
     for run in RUNS:
-        proc = subprocess.run([sys.executable, "-m", "pspin.cli", *run.split(), "--format", "json"],
-                              capture_output=True, env=env)
+        proc = _run(ROOT, run)
         if proc.returncode != 0:
             print(f"exit {proc.returncode}  {run}: {proc.stderr.decode().strip()}")
             status = 1
             continue
         print(f"{hashlib.sha256(proc.stdout).hexdigest()}  {run}")
+        if not args.against:
+            continue
+        other = _run(args.against, run)
+        if other.returncode != 0:
+            print(f"  {args.against}: exit {other.returncode}: {other.stderr.decode().strip()}")
+            status = 1
+        elif other.stdout != proc.stdout:
+            differ += 1
+            status = 1
+            lines = [f"  {path}: {_show(old)} -> {_show(new)}" for path, old, new
+                     in _changes(json.loads(other.stdout), json.loads(proc.stdout))]
+            print("\n".join(lines) or "  the same values in different bytes")
+    if args.against:
+        print(f"{differ} of {len(RUNS)} runs differ from {args.against}")
     return status
 
 
