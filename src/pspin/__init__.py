@@ -5,6 +5,8 @@ from .critical import (
     CriticalPoint,
     ResidualTriple,
     aux_a,
+    e_infinity,
+    eval_nu_derivs,
     p2_betac_residual,
     residuals_prop,
     solve_critical,
@@ -16,13 +18,13 @@ from .free_energy import (
     free_energy,
     lemma_bound_check,
     overlap_polynomial,
+    shifted_total,
     solve_q_beta,
     sweep,
     t_pm,
     tap_functional,
     tap_value,
 )
-from .mixtures import e_infinity, eval_nu_derivs, shifted_total
 
 __version__ = "0.1.0"
 

@@ -10,6 +10,9 @@ temperatures: q_c = 0, and the same closed forms give (beta_c, e_star) =
 (1/sqrt(2), sqrt(2)).
 
 ``residuals_prop`` evaluates the stationarity system the solved triple must satisfy.
+Here too live the pieces that ``pspin.free_energy`` shares: the covariance
+nu(x) = x^p with its first two derivatives, the threshold energy e_inf, and
+the bisection that finds both overlap roots.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-from .mixtures import e_infinity, eval_nu_derivs
-from .roots import bisect_root
+from typing import Callable
 
 Q_CAP = 1.0 - 1e-12  # keep log(1-q) finite: clamp solver domain away from q=1
 QC_RESIDUAL_MAX = 1e-13  # largest |a(q_c)| / p accepted from the root
@@ -43,6 +44,53 @@ class ResidualTriple:
     r_IIb: float
 
 
+class BracketError(RuntimeError):
+    """The supplied interval does not bracket a sign change."""
+
+
+def eval_nu_derivs(p: int, q: float) -> tuple[float, float, float]:
+    """(nu, nu', nu'') of nu(x) = x^p at x = q."""
+    return q**p, p * q ** (p - 1), p * (p - 1) * q ** (p - 2)
+
+
+def e_infinity(p: int) -> float:
+    """Energy threshold 2*sqrt((p-1)/p) of the pure p-spin model."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    return 2.0 * math.sqrt((p - 1) / p)
+
+
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] where f(lo) and f(hi) have opposite signs.
+
+    There is no tolerance to tune.  Returns an exact zero as soon as one is
+    evaluated.  Otherwise bisects until lo and hi are neighbouring doubles, so
+    f changes sign between the returned point and one of its neighbours, and
+    returns the end with the smaller |f|.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise BracketError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+        )
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # no double strictly between the ends
+            return lo if abs(flo) <= abs(fhi) else hi
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) != (flo < 0.0):
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+
+
 def aux_a(p: int, q: float) -> float:
     """The overlap equation a(q) whose interior root is q_c (p >= 3)."""
     if p < 2:
@@ -57,8 +105,9 @@ def solve_qc(p: int) -> float:
 
     a(1/2) = 1/4 - p(ln(2)/2 - 1/4) < 0 for every p >= 3, since ln(2)/2 > 1/4,
     and a decreases from a(0) = 0 to its minimum and then increases to 1 as
-    q -> 1, so [1/2, Q_CAP] brackets the single sign change.  (a(Q_CAP) is
-    about 1 - 2.7e-11 p, positive for p below about 3.7e10.)
+    q -> 1, so [1/2, Q_CAP] brackets the single sign change while a(Q_CAP),
+    about 1 - 2.7e-11 p, is positive: for p below about 3.7e10.  Above that
+    ``bisect_root`` raises ``BracketError``.
     One bisection finds the root to floating-point resolution, not to a
     tolerance.  The root must give |a(q_c)| <= QC_RESIDUAL_MAX * p: a's terms
     are of size p, so the bound passes a root found to rounding at every p

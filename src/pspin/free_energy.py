@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .critical import Q_CAP, solve_critical
-from .mixtures import e_infinity, eval_nu_derivs, shifted_total
-from .roots import bisect_root
+from .critical import Q_CAP, bisect_root, e_infinity, eval_nu_derivs, solve_critical
 
 # branch labels recorded by free_energy()/sweep()
 BRANCH_RS = "rs"            # replica-symmetric value, beta < beta_c
@@ -49,9 +47,7 @@ def t_pm(p: int, e_star: float) -> tuple[float, float]:
     suffers cancellation.  A discriminant within 1e-14 of zero collapses to the
     double root 1/sqrt(p(p-1)).
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    e_inf = e_infinity(p)
+    e_inf = e_infinity(p)  # rejects p < 2
     ratio = e_star / e_inf
     disc = ratio * ratio - 1.0
     if disc < 0.0:
@@ -64,6 +60,21 @@ def t_pm(p: int, e_star: float) -> tuple[float, float]:
     t_plus = scale * (ratio + math.sqrt(disc))
     t_minus = 1.0 / (p * (p - 1) * t_plus)
     return t_minus, t_plus
+
+
+def shifted_total(p: int, q: float) -> float:
+    """nu(1) - nu(q) - nu'(q)(1-q) of nu(x) = x^p, the Onsager variance.
+
+    Uses the factored form (1-q) * sum_{j<p-1} (q^j - q^(p-1)) with each term
+    written as -q^j expm1((p-1-j) log q), which avoids the cancellation of
+    both the naive expression and the differences q^j - q^(p-1) as q -> 1.
+    """
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"overlap q must lie in [0, 1), got {q}")
+    if q == 0.0:
+        return 1.0  # log q is -inf: only nu(1) = 1 is left
+    log_q = math.log(q)
+    return (1.0 - q) * math.fsum(-(q**j) * math.expm1((p - 1 - j) * log_q) for j in range(p - 1))
 
 
 def overlap_polynomial(p: int, q: float) -> float:

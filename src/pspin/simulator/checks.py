@@ -35,7 +35,6 @@ class CovarianceRow:
     estimate: float     # empirical mean of H(s) H(s')
     stderr: float
     z: float
-    draws: int
 
 
 def covariance_check(
@@ -88,7 +87,7 @@ def covariance_check(
         target = n * r**p
         z_score = (mean - target) / stderr if stderr > 0 else float("inf")
         rows.append(CovarianceRow(r_overlap=r, target=target, estimate=float(mean),
-                                  stderr=stderr, z=float(z_score), draws=draws))
+                                  stderr=stderr, z=float(z_score)))
     return rows
 
 

@@ -320,18 +320,17 @@ def overlap_probe(
     sweeps: int,
     burn_in: int = 500,
     bins: int = 80,
-    replica_seeds=None,
 ) -> OverlapHistogram:
     """Distribution of pairwise overlaps between k independent replicas.
 
     Only the ensemble's ``disorder``, ``betas`` and first generator's seed
     sequence, ``rngs[0].bit_generator.seed_seq``, are read: its
     configurations, step sizes and counters play no part.  Each replica is a
-    fresh ladder on that disorder and those betas, with its own seed (derived
-    from that sequence's entropy and spawn key, unless ``replica_seeds`` are
-    given); all k advance together on one replica-axis ensemble.  After
-    burn-in they advance one sweep at a time and the overlaps of all pairs
-    of configurations at rung ``beta_index`` are recorded.  Tempering within
+    fresh ladder on that disorder and those betas, with its own seed derived
+    from that sequence's entropy and spawn key; all k advance together on one
+    replica-axis ensemble.  After burn-in they advance one sweep at a time
+    and the overlaps of all pairs of configurations at rung ``beta_index``
+    are recorded.  Tempering within
     each replica is what gives the cold rung a chance to equilibrate.
 
     The run counts as equilibrated when every replica accepts at least 1% of
@@ -349,14 +348,10 @@ def overlap_probe(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
 
-    if replica_seeds is None:
-        base = ensemble.rngs[0].bit_generator.seed_seq
-        replica_seeds = [np.random.SeedSequence((base.entropy, 7001 + i), spawn_key=base.spawn_key)
-                         for i in range(k)]
-    if len(replica_seeds) != k:
-        raise ValueError(f"need {k} replica seeds, got {len(replica_seeds)}")
-
-    replicas = TemperingEnsemble(ensemble.disorder, ensemble.betas, seed=list(replica_seeds))
+    base = ensemble.rngs[0].bit_generator.seed_seq
+    replica_seeds = [np.random.SeedSequence((base.entropy, 7001 + i), spawn_key=base.spawn_key)
+                     for i in range(k)]
+    replicas = TemperingEnsemble(ensemble.disorder, ensemble.betas, seed=replica_seeds)
     if burn_in > 0:
         tempering_sweep(replicas, burn_in, record=False)
     replicas.freeze()

@@ -9,14 +9,15 @@ from mpmath import mp, mpf
 
 from pspin import critical
 from pspin.critical import (
+    BracketError,
     aux_a,
+    bisect_root,
     p2_betac_residual,
     residuals_prop,
     solve_critical,
     solve_qc,
 )
 from pspin.free_energy import overlap_polynomial, t_pm
-from pspin.roots import BracketError, bisect_root
 
 from oracles import (
     abc_complexity,
@@ -77,6 +78,13 @@ class TestSolveQc:
             with mp.workdps(40):
                 errors[p] = float(abs(mpf(q_c) - root)) / math.ulp(q_c)
         assert max(errors.values()) <= 2.0, errors
+
+    def test_bracket_ends_where_a_at_q_cap_turns_negative(self):
+        # a(Q_CAP) is about 1 - 2.7e-11 p: positive at 1e10, negative at 4e10
+        p = 10**10
+        assert abs(aux_a(p, solve_qc(p))) <= 1e-13 * p
+        with pytest.raises(BracketError):
+            solve_qc(4 * 10**10)
 
     def test_rejects_p2(self):
         with pytest.raises(ValueError):

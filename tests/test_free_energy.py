@@ -16,7 +16,7 @@ from pspin.free_energy import (
     tap_functional,
     tap_value,
 )
-from pspin.mixtures import e_infinity
+from pspin.critical import e_infinity
 
 from oracles import bisect, cs_1rsb, p2_closed_forms_highprec
 

@@ -15,6 +15,7 @@ from pspin.simulator import (
     tempering_sweep,
     thermo_integration,
 )
+from pspin.simulator import mcmc
 from pspin.simulator.mcmc import ADAPT_WINDOW, _energy_gradient, _leapfrog
 
 from oracles import circle_log_partition
@@ -471,13 +472,15 @@ class TestOverlapProbe:
         assert diagnostics["replica_energy_rhat"] > 1.05
         assert not diagnostics["equilibrated"]
 
-    def test_identical_seeds_flagged_degenerate(self):
+    def test_identical_seeds_flagged_degenerate(self, monkeypatch):
         J = sample_disorder(12, 3, seed=9)
         tmpl = TemperingEnsemble(J, [0.0, 0.5], seed=2)
-        seeds = [np.random.SeedSequence(42), np.random.SeedSequence(42)]
-        hist = overlap_probe(
-            tmpl, k=2, beta_index=1, sweeps=40, burn_in=10, replica_seeds=seeds
-        )
+
+        def first_seed_for_all(disorder, betas, seed):
+            return TemperingEnsemble(disorder, betas, seed=[seed[0]] * len(seed))
+
+        monkeypatch.setattr(mcmc, "TemperingEnsemble", first_seed_for_all)
+        hist = overlap_probe(tmpl, k=2, beta_index=1, sweeps=40, burn_in=10)
         assert hist.diagnostics["degenerate"]
         top = hist.counts[-1]
         assert top == hist.pair_count  # every overlap in the last bin (R=1)

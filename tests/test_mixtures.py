@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pspin.free_energy import tap_value
-from pspin.mixtures import e_infinity, eval_nu_derivs, shifted_total
+from pspin.critical import e_infinity, eval_nu_derivs
+from pspin.free_energy import shifted_total, tap_value
 
 from oracles import central_difference, shifted_total_highprec
 

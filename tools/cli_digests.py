@@ -1,22 +1,25 @@
-"""Print the sha256 of the ``--format json`` output of a fixed list of CLI runs.
+"""Print the sha256 of the output of a fixed list of CLI runs.
 
 Run it from any directory: it runs the ``pspin`` package of the checkout it
 sits in (``src/`` beside ``tools/``), one run at a time, with one BLAS thread
-and without ``PSPIN_SEED``. Two checkouts write the same outputs when the
-script prints the same lines in each.
+and without ``PSPIN_SEED``. A run that names no ``--format`` writes JSON.
+Two checkouts write the same outputs when the script prints the same lines
+in each.
 
     python3 tools/cli_digests.py
     python3 tools/cli_digests.py --against DIR
 
 With ``--against DIR`` every run also goes through the checkout at DIR, and
-under each run whose output differs the script lists every JSON path whose
-value changed, DIR's value -> this checkout's. It exits 1 when a run fails or
-differs.
+under each run whose output differs the script lists every path whose value
+changed, DIR's value -> this checkout's. A CSV output is read as its comment
+line's meta and its rows, each cell as the string written. It exits 1 when a
+run fails or differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -47,17 +50,36 @@ RUNS = [
     "sweep --p 3 --beta 0:3:0.25",
     "sweep --p 5 --beta 1:4:0.5",
     "sweep --p 1000 --beta 3:8:1",
+    # the CLI's default format: boolean, string, numeric and empty cells
+    "thermo --p 3 --n 16 --beta-max 2.5 --rungs 9 --sweeps 200 --burn-in 100 --seed 5 --format csv",
+    "gstate --p 2 --n 48 --restarts 8 --seed 3 --format csv",
+    "critical --p 2 --format csv",
+    "critical --p 3 --format csv",
 ]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ABSENT = object()  # a key that one side's output does not have
+
+
+def cli_args(run: str) -> list[str]:
+    """The CLI arguments of a run: JSON output unless it names a format."""
+    args = run.split()
+    return args if "--format" in args else [*args, "--format", "json"]
 
 
 def _run(root: str, run: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "PSPIN_SEED"}
     env.update(PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "pspin.cli", *run.split(), "--format", "json"],
+    return subprocess.run([sys.executable, "-m", "pspin.cli", *cli_args(run)],
                           capture_output=True, env=env)
+
+
+def _parse(run: str, out: bytes):
+    """A run's output as {"meta": ..., "rows": [...]}, whichever format it was written in."""
+    if "--format csv" not in run:
+        return json.loads(out)
+    comment, *table = out.decode().splitlines()
+    return {"meta": json.loads(comment.split(" ", 3)[3]), "rows": list(csv.DictReader(table))}
 
 
 def _show(value) -> str:
@@ -107,7 +129,7 @@ def main() -> int:
             differ += 1
             status = 1
             lines = [f"  {path}: {_show(old)} -> {_show(new)}" for path, old, new
-                     in _changes(json.loads(other.stdout), json.loads(proc.stdout))]
+                     in _changes(_parse(run, other.stdout), _parse(run, proc.stdout))]
             print("\n".join(lines) or "  the same values in different bytes")
     if args.against:
         print(f"{differ} of {len(RUNS)} runs differ from {args.against}")
